@@ -1,4 +1,5 @@
-//! `vegen-engine` — suite runner, `explain`, and `diff` (see
+//! `vegen-engine` — the suite runner and its `soak`, `serve`, `stats`,
+//! `explain`, `lint`, `check-specs` and `diff` subcommands (see
 //! [`vegen_engine::cli`] for the full usage; all logic lives in the
 //! library so tests can drive it).
 

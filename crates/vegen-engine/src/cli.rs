@@ -1,60 +1,626 @@
-//! Command-line front end of the `vegen-engine` binary.
+//! Command-line front end of the `vegen-engine` binary, with eight entry
+//! points:
 //!
-//! Five entry points behind one executable:
-//!
-//! * the default **suite** mode — batch-compile the full `vegen-kernels`
-//!   suite (cold + warm runs) and emit an [`EngineReport`]; `--trace` /
-//!   `--folded` capture a [`vegen_trace`] session alongside;
-//!   `--cache-dir` persists compiles to disk so a restarted run replays
-//!   from the cache;
-//! * **`serve`** — the resident compile daemon (`--socket PATH` or
-//!   `--stdio`): newline-delimited JSON requests, bounded-queue
-//!   admission, per-request deadlines, live metrics, graceful drain (see
-//!   [`crate::serve`]);
+//! * the default **suite** mode — batch-compile the `vegen-kernels` suite
+//!   (cold + warm runs) and emit an [`EngineReport`], optionally traced
+//!   (`--trace`, `--folded`) and cached on disk (`--cache-dir`);
+//! * **`soak`** — compile a seeded generated-kernel corpus with
+//!   differential checking and failure minimization ([`crate::soak`]);
+//! * **`serve`** — the resident compile daemon ([`crate::serve`]), and
+//!   **`stats`**, which scrapes a running daemon's metrics registry;
 //! * **`explain <kernel>`** — recompile one kernel with the beam search's
-//!   decision log on and print why each pack was committed (and what was
-//!   pruned against it), plus the static-validation verdict;
-//! * **`lint`** — run the static validators (pack legality, lane
-//!   provenance, VM lint) over the whole suite and fail on any
-//!   error-severity finding, for CI gating without execution;
-//! * **`check-specs`** — audit the *offline* artifact chain (pseudocode →
-//!   VIDL → match table) with [`vegen_analysis::speccheck`] and fail on
-//!   any error-severity finding; `--corrupt KIND` injects a deliberate
-//!   corruption so CI can prove the gate actually rejects;
-//! * **`diff <old.json> <new.json>`** — compare two reports
-//!   kernel-by-kernel with configurable regression thresholds, for CI
-//!   gating.
+//!   decision log on and print why each pack was committed;
+//! * **`lint`** — run the static validators over the suite, for CI gating
+//!   without execution;
+//! * **`check-specs`** — audit the offline pseudocode → VIDL → match-table
+//!   chain ([`vegen_analysis::speccheck`]), optionally after injecting a
+//!   corruption the audit must reject;
+//! * **`diff <old.json> <new.json>`** — compare two reports with
+//!   regression thresholds.
 //!
-//! Everything lives in the library (the binary is a one-line wrapper) so
-//! tests can drive the exact code paths, including exit codes.
+//! Every flag is declared once, in one table of (name, value placeholder,
+//! default, help line); each subcommand lists the flags it takes. One
+//! parser reads every command line against that list, and the usage text
+//! is generated from it. [`parse`] builds a [`Command`] and [`run`]
+//! executes it, so tests can check what a command line configures
+//! without running it.
 
 use crate::report::{EngineReport, RunReport, TraceSummary};
 use crate::serve::{self, ServeConfig};
+use crate::soak::{run_soak, SoakConfig, SoakStatus};
 use crate::{Engine, EngineConfig, Job, JobResult, Rung};
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 use vegen::driver::{prepare, target_desc, PipelineConfig};
 use vegen::fault::FaultPlan;
+use vegen_analysis::MatchTableStats;
 use vegen_core::slp::SlpCost;
 use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
 use vegen_isa::TargetIsa;
 use vegen_trace::json::Json;
 
+// ---------------------------------------------------------------------------
+// flag table
+// ---------------------------------------------------------------------------
+
+/// One `--flag`: (name, value placeholder in the usage text, value used
+/// when the flag is absent, help line). A switch has an empty
+/// placeholder and takes no value; an empty default means none.
+type Flag = (&'static str, &'static str, &'static str, &'static str);
+
+static FLAGS: &[Flag] = &[
+    ("--target", "T", "avx2", "target ISA: sse4, avx2 or avx512vnni"),
+    ("--beam", "N", "16", "beam width"),
+    ("--threads", "N", "0", "compile worker threads, 0 = auto"),
+    ("--beam-threads", "N", "0", "beam-search threads per kernel, 0 = auto"),
+    ("--deadline-ms", "N", "", "per-kernel compile deadline"),
+    ("--no-verify", "", "", "skip randomized equivalence checking"),
+    ("--cache-dir", "DIR", "", "persistent compile cache directory"),
+    ("--cache-max-bytes", "N", "", "disk cache size bound (oldest entries evicted)"),
+    ("--warm-start", "", "", "load the disk cache into memory first"),
+    ("--event-log", "FILE", "", "append job lifecycle events (NDJSON)"),
+    ("--flight-dir", "DIR", "", "write flight-recorder dumps here"),
+    ("--out", "FILE", "", "write the JSON report to FILE"),
+    ("--compact", "", "", "render the report on one line"),
+    ("--json", "", "", "print JSON instead of the human-readable form"),
+    ("--runs", "N", "2", "passes over the suite (cold, then warm)"),
+    ("--trace", "FILE", "", "write a Chrome trace of the runs"),
+    ("--folded", "FILE", "", "write folded stacks of the runs"),
+    ("--decisions", "", "", "record beam-search decision summaries"),
+    ("--fail-fast", "", "", "fail any kernel below the primary rung"),
+    ("--faults", "SPEC", "", "inject the faults in SPEC"),
+    ("--fault-seed", "N", "", "inject a seeded fault plan"),
+    ("--fault-count", "N", "3", "faults in a seeded plan"),
+    ("--seed", "N", "42", "corpus seed"),
+    ("--count", "N", "100", "corpus size, before sharding"),
+    ("--shard", "I/N", "0/1", "run only the indices congruent to I mod N"),
+    ("--trials", "N", "8", "random-memory trials per differential check"),
+    ("--fault-every", "K", "0", "inject a seeded fault on every Kth job, 0 = off"),
+    ("--seeds-out", "DIR", "", "write replayable seed files of failures here"),
+    ("--no-minimize", "", "", "do not minimize failing kernels"),
+    ("--minimize-budget", "N", "600", "candidate budget per minimization"),
+    ("--inject-miscompile", "N", "", "test only: corrupt every compiled program"),
+    ("--stdio", "", "", "serve requests on stdin/stdout"),
+    ("--socket", "PATH", "", "the daemon's Unix socket"),
+    ("--queue", "N", "64", "admission queue capacity"),
+    ("--prometheus", "", "", "print raw Prometheus text"),
+    ("--max-iters", "N", "", "beam-search iteration cap"),
+    ("--corrupt", "KIND", "", "inject a corruption the audit must reject"),
+    ("--no-canon", "", "", "audit without pattern canonicalization"),
+    ("--max-regress", "PCT", "2", "allowed worsening of cycles and speedups"),
+    ("--strict-counters", "", "", "gate on search-effort counter growth too"),
+];
+
+/// Flags read from an environment variable when absent from the command
+/// line, before their default.
+const ENV_FALLBACKS: [(&str, &str); 2] =
+    [("--beam-threads", "VEGEN_BEAM_THREADS"), ("--faults", "VEGEN_FAULTS")];
+
+/// A subcommand: its word (empty for the default suite mode), its
+/// synopsis — `<operand>`s, then the flags it takes, where a `=value`
+/// suffix overrides a flag's default for this subcommand — and extra
+/// usage text.
+struct Spec {
+    name: &'static str,
+    synopsis: &'static str,
+    note: &'static str,
+}
+
+static SPECS: [Spec; 8] = [
+    Spec {
+        name: "",
+        synopsis: "--target --beam --threads --beam-threads --runs --no-verify --compact --out \
+                   --trace --folded --decisions --deadline-ms --fail-fast --faults --fault-seed \
+                   --fault-count --cache-dir --cache-max-bytes --warm-start --event-log \
+                   --flight-dir",
+        note: "fault SPEC is kernel:stage:kind[,...], kind = panic|error|delay=<ms>; a `!` \
+               suffix fires on\nevery ladder attempt; --faults wins over --fault-seed, then \
+               VEGEN_FAULTS",
+    },
+    Spec {
+        name: "soak",
+        synopsis: "--seed --count --shard --trials --fault-every --target --beam --beam-threads \
+                   --deadline-ms --cache-dir --cache-max-bytes --seeds-out --no-minimize \
+                   --minimize-budget --inject-miscompile --out --compact",
+        note: "kernel i is generate(seed, i): any kernel replays from the two integers",
+    },
+    Spec {
+        name: "serve",
+        synopsis: "--stdio --socket --cache-dir --cache-max-bytes --warm-start --threads \
+                   --beam-threads --queue --target --beam --deadline-ms --no-verify \
+                   --event-log --flight-dir",
+        note: "pass exactly one of --stdio or --socket",
+    },
+    Spec { name: "stats", synopsis: "--socket --prometheus --json", note: "--socket is required" },
+    Spec { name: "explain", synopsis: "<kernel> --target --beam=64 --max-iters", note: "" },
+    Spec { name: "lint", synopsis: "--target --beam --threads --out", note: "" },
+    Spec {
+        name: "check-specs",
+        synopsis: "--target=all --json --out --corrupt --no-canon",
+        note: "--target all audits every target; corruption KIND is \
+               lane-swap|widen|flip-cmp|dup-rule|neg-cost|rename-op",
+    },
+    Spec { name: "diff", synopsis: "<old> <new> --max-regress --strict-counters", note: "" },
+];
+
+/// Prefix of subcommand `name`'s messages.
+fn tag(name: &str) -> String {
+    format!("vegen-engine {name}").trim_end().to_string()
+}
+
+impl Spec {
+    fn operands(&self) -> impl Iterator<Item = &'static str> {
+        self.synopsis.split_whitespace().filter(|w| w.starts_with('<'))
+    }
+
+    /// The flags this subcommand takes, with its own defaults applied.
+    fn flags(&self) -> impl Iterator<Item = Flag> {
+        self.synopsis.split_whitespace().filter(|w| w.starts_with("--")).map(|entry| {
+            let (name, own_default) = entry.split_once('=').unwrap_or((entry, ""));
+            let &(name, value, default, help) =
+                FLAGS.iter().find(|f| f.0 == name).expect("flag is in FLAGS");
+            (name, value, if own_default.is_empty() { default } else { own_default }, help)
+        })
+    }
+
+    /// The usage text, generated from the flag table.
+    fn usage(&self) -> String {
+        use std::fmt::Write as _;
+        let operands: Vec<&str> = self.operands().collect();
+        let mut s = format!("usage: {} [FLAGS] {}", tag(self.name), operands.join(" "))
+            .trim_end()
+            .to_string();
+        for (name, value, default, help) in self.flags() {
+            let _ = write!(s, "\n  {:<24}{help}", format!("{name} {value}").trim_end());
+            if !default.is_empty() {
+                let _ = write!(s, " (default {default})");
+            }
+            if let Some((_, var)) = ENV_FALLBACKS.iter().find(|(n, _)| *n == name) {
+                let _ = write!(s, " [env {var}]");
+            }
+        }
+        if self.name.is_empty() {
+            let names: Vec<&str> = SPECS[1..].iter().map(|s| s.name).collect();
+            let _ = write!(s, "\nsubcommands (each takes --help): {}", names.join(", "));
+        }
+        if !self.note.is_empty() {
+            let _ = write!(s, "\n{}", self.note);
+        }
+        s
+    }
+}
+
+type Res<T> = Result<T, String>;
+
+/// A command line checked against a [`Spec`]: the flags given, in order,
+/// with their values (empty for switches), the operands, and the
+/// environment lookup (injected so tests need not mutate the process
+/// environment).
+struct Args<'a> {
+    spec: &'static Spec,
+    given: Vec<(&'static str, &'a str)>,
+    operands: Vec<&'a str>,
+    env: &'a dyn Fn(&str) -> Option<String>,
+}
+
+fn from_str<T: FromStr<Err: Display>>(v: &str) -> Res<T> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+fn parse_target(s: &str) -> Res<TargetIsa> {
+    match s.to_ascii_lowercase().as_str() {
+        "avx2" => Ok(TargetIsa::avx2()),
+        "avx512vnni" | "avx512-vnni" | "vnni" => Ok(TargetIsa::avx512vnni()),
+        "sse4" | "sse4.1" => Ok(TargetIsa::sse4()),
+        other => Err(format!("unknown target {other:?}")),
+    }
+}
+
+impl<'a> Args<'a> {
+    /// Check `args` against `spec`; `Ok(None)` when `--help` was asked for.
+    fn parse(
+        spec: &'static Spec,
+        args: &'a [String],
+        env: &'a dyn Fn(&str) -> Option<String>,
+    ) -> Res<Option<Self>> {
+        let mut parsed = Args { spec, given: Vec::new(), operands: Vec::new(), env };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            if !arg.starts_with('-') {
+                parsed.operands.push(arg);
+                continue;
+            }
+            let Some((name, placeholder, ..)) = spec.flags().find(|f| f.0 == arg) else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            let value = match placeholder {
+                "" => "",
+                _ => args.next().ok_or_else(|| format!("{name} needs a value"))?,
+            };
+            parsed.given.push((name, value));
+        }
+        let wanted = spec.operands().count();
+        if let Some(extra) = parsed.operands.get(wanted) {
+            return Err(format!("unknown argument {extra:?}"));
+        }
+        if let Some(missing) = spec.operands().nth(parsed.operands.len()) {
+            return Err(format!("missing operand {missing}"));
+        }
+        Ok(Some(parsed))
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.cli(name).is_some()
+    }
+
+    /// The value of `name`'s last occurrence on the command line.
+    fn cli(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().rev().find(|&&(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    /// `name`'s environment variable and its value, when set and non-empty.
+    fn env(&self, name: &str) -> Option<(&'static str, String)> {
+        let &(_, var) = ENV_FALLBACKS.iter().find(|(n, _)| *n == name)?;
+        (self.env)(var).filter(|v| !v.is_empty()).map(|v| (var, v))
+    }
+
+    /// The value of `name`, parsed: from the command line, else from its
+    /// environment variable (a value there that does not parse reads as
+    /// unset), else its default. `None` when none applies, including for
+    /// a flag this subcommand does not take.
+    fn get_with<T>(&self, name: &str, parse: impl Fn(&str) -> Res<T>) -> Res<Option<T>> {
+        let Some((_, _, default, _)) = self.spec.flags().find(|f| f.0 == name) else {
+            return Ok(None);
+        };
+        match self.cli(name) {
+            Some(v) => parse(v).map(Some),
+            None => match self.env(name).and_then(|(_, v)| parse(&v).ok()) {
+                Some(v) => Ok(Some(v)),
+                None if default.is_empty() => Ok(None),
+                None => parse(default).map(Some),
+            },
+        }
+        .map_err(|e| format!("{name}: {e}"))
+    }
+
+    /// [`Args::get_with`] for a flag that always has a value.
+    fn value<T>(&self, name: &str, parse: impl Fn(&str) -> Res<T>) -> Res<T> {
+        self.get_with(name, parse)?.ok_or_else(|| format!("{name} needs a value"))
+    }
+
+    fn get<T: FromStr<Err: Display>>(&self, name: &str) -> Res<Option<T>> {
+        self.get_with(name, from_str)
+    }
+
+    fn num<T: FromStr<Err: Display>>(&self, name: &str) -> Res<T> {
+        self.value(name, from_str)
+    }
+
+    fn text(&self, name: &str) -> Option<String> {
+        self.get_with(name, |v| Ok(v.to_string())).unwrap_or_default()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// parsed commands
+// ---------------------------------------------------------------------------
+
+/// A parsed command line, ready to [`run`].
+#[derive(Debug)]
+pub enum Command {
+    /// `--help`: the usage text to print.
+    Help(String),
+    /// The default mode: compile the kernel suite and report.
+    Suite(SuiteConfig),
+    /// `soak`: the corpus to run, and where the report goes.
+    Soak(SoakConfig, Output),
+    /// `serve`: the engine, the service, the socket to listen on (`None`
+    /// serves stdin/stdout), and whether to warm-start from disk.
+    Serve(EngineConfig, ServeConfig, Option<String>, bool),
+    /// `stats`: the daemon's socket, and the output format (`"table"`,
+    /// `"prometheus"` or `"json"`).
+    Stats(String, &'static str),
+    /// `explain`: the kernel, its pipeline, and the iteration cap.
+    Explain(String, PipelineConfig, Option<usize>),
+    /// `lint`: the engine, the pipeline, and the artifact path.
+    Lint(EngineConfig, PipelineConfig, Output),
+    /// `check-specs`: the targets to audit, the corruption to inject,
+    /// whether to canonicalize patterns, whether to print the JSON report
+    /// in place of the verdicts, and the artifact path.
+    CheckSpecs(Vec<TargetIsa>, Option<String>, bool, bool, Output),
+    /// `diff`: the old and new report paths, and the thresholds.
+    Diff(String, String, DiffConfig),
+}
+
+/// Where a JSON report goes: a file (`None` prints it to stdout), and
+/// whether it is rendered on one line.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Output {
+    /// Report file.
+    pub path: Option<String>,
+    /// Render on one line.
+    pub compact: bool,
+}
+
+/// The default mode's parameters.
+#[derive(Debug)]
+pub struct SuiteConfig {
+    /// Engine construction.
+    pub engine: EngineConfig,
+    /// Target and beam search for every kernel.
+    pub pipeline: PipelineConfig,
+    /// Passes over the suite (cold, then warm).
+    pub runs: usize,
+    /// Faults to inject.
+    pub faults: Option<FaultPlan>,
+    /// Chrome trace and folded-stacks paths.
+    pub trace: (Option<String>, Option<String>),
+    /// Load the disk cache into memory before the first run.
+    pub warm_start: bool,
+    /// Where the report goes.
+    pub out: Output,
+}
+
+/// Parse a command line (everything after the program name), reading
+/// environment fallbacks through `env`.
+///
+/// # Errors
+///
+/// Returns the usage error, prefixed with the subcommand: an unknown
+/// flag, a missing or malformed value, or a missing operand.
+pub fn parse(args: &[String], env: &dyn Fn(&str) -> Option<String>) -> Result<Command, String> {
+    let (spec, rest) = match args.first().and_then(|a| SPECS[1..].iter().find(|s| s.name == a)) {
+        Some(spec) => (spec, &args[1..]),
+        None => (&SPECS[0], args),
+    };
+    let build = |a: Args| -> Res<Command> {
+        Ok(match spec.name {
+            "soak" => Command::Soak(soak_config(&a)?, output(&a)),
+            "serve" => {
+                let socket = a.text("--socket");
+                if a.has("--stdio") == socket.is_some() {
+                    return Err("pass exactly one of --stdio or --socket PATH".into());
+                }
+                let queue_capacity = a.value("--queue", |v| match from_str(v)? {
+                    0 => Err("capacity must be at least 1".to_string()),
+                    n => Ok(n),
+                })?;
+                let target = a.value("--target", parse_target)?;
+                let cfg = ServeConfig { queue_capacity, target, beam_width: a.num("--beam")? };
+                Command::Serve(engine_config(&a)?, cfg, socket, a.has("--warm-start"))
+            }
+            "stats" => {
+                let format = match (a.has("--prometheus"), a.has("--json")) {
+                    (true, true) => return Err("pass at most one of --prometheus or --json".into()),
+                    (true, false) => "prometheus",
+                    (false, true) => "json",
+                    (false, false) => "table",
+                };
+                Command::Stats(a.text("--socket").ok_or("--socket PATH is required")?, format)
+            }
+            "explain" => {
+                Command::Explain(a.operands[0].into(), pipeline(&a)?, a.get("--max-iters")?)
+            }
+            // Verification trials off: this gate is purely static; the
+            // suite mode covers dynamic checking.
+            "lint" => Command::Lint(
+                EngineConfig { verify_trials: 0, ..engine_config(&a)? },
+                pipeline(&a)?,
+                output(&a),
+            ),
+            "check-specs" => Command::CheckSpecs(
+                a.value("--target", |v| match v.eq_ignore_ascii_case("all") {
+                    true => Ok(vec![TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()]),
+                    false => parse_target(v).map(|t| vec![t]),
+                })?,
+                a.text("--corrupt"),
+                !a.has("--no-canon"),
+                a.has("--json"),
+                output(&a),
+            ),
+            "diff" => {
+                let max_regress_pct = a.value("--max-regress", |v| match from_str::<f64>(v)? {
+                    pct if pct >= 0.0 => Ok(pct),
+                    _ => Err("must be a non-negative percentage".to_string()),
+                })?;
+                let cfg =
+                    DiffConfig { max_regress_pct, strict_counters: a.has("--strict-counters") };
+                Command::Diff(a.operands[0].into(), a.operands[1].into(), cfg)
+            }
+            _ => Command::Suite(suite_config(&a)?),
+        })
+    };
+    let parsed = Args::parse(spec, rest, env)
+        .and_then(|a| a.map_or_else(|| Ok(Command::Help(spec.usage())), build));
+    parsed.map_err(|e| format!("{}: {e}", tag(spec.name)))
+}
+
 /// Run the CLI with pre-split arguments (everything after the program
 /// name) and return the process exit code: `0` success, `1` verification
 /// failure or regression, `2` usage/I-O error.
 pub fn main_with_args(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("explain") => run_explain(&args[1..]),
-        Some("lint") => run_lint(&args[1..]),
-        Some("check-specs") => run_check_specs(&args[1..]),
-        Some("diff") => run_diff(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("stats") => run_stats(&args[1..]),
-        Some("soak") => run_soak_cmd(&args[1..]),
-        _ => run_suite(args),
+    match parse(args, &|var| std::env::var(var).ok()) {
+        Ok(cmd) => run(cmd),
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
     }
 }
+
+/// Execute a parsed command and return its exit code.
+pub fn run(cmd: Command) -> i32 {
+    let (name, result) = match cmd {
+        Command::Help(usage) => {
+            eprintln!("{usage}");
+            return 0;
+        }
+        Command::Suite(cfg) => ("", run_suite(cfg)),
+        Command::Soak(cfg, out) => ("soak", run_soak_cmd(&cfg, &out)),
+        Command::Serve(e, cfg, socket, warm) => ("serve", run_serve(e, &cfg, socket, warm)),
+        Command::Stats(socket, format) => ("stats", run_stats(&socket, format)),
+        Command::Explain(kernel, p, iters) => ("explain", run_explain(&kernel, &p, iters)),
+        Command::Lint(engine, pipeline, out) => ("lint", run_lint(engine, &pipeline, &out)),
+        Command::CheckSpecs(targets, corrupt, canonicalize, json, out) => {
+            ("check-specs", run_check_specs(&targets, corrupt.as_deref(), canonicalize, json, &out))
+        }
+        Command::Diff(old, new, cfg) => ("diff", run_diff(&old, &new, &cfg)),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{}: {e}", tag(name));
+        2
+    })
+}
+
+/// The engine configuration the shared flags describe; flags a
+/// subcommand does not take keep [`EngineConfig::default`].
+fn engine_config(a: &Args) -> Res<EngineConfig> {
+    let d = EngineConfig::default();
+    Ok(EngineConfig {
+        threads: a.get("--threads")?.unwrap_or(d.threads),
+        verify_trials: if a.has("--no-verify") { 0 } else { d.verify_trials },
+        deadline: a.get("--deadline-ms")?.map(Duration::from_millis),
+        fail_fast: a.has("--fail-fast"),
+        cache_dir: a.text("--cache-dir").map(Into::into),
+        cache_max_bytes: a.get("--cache-max-bytes")?,
+        beam_threads: a.get("--beam-threads")?.unwrap_or(d.beam_threads),
+        event_log: a.text("--event-log").map(Into::into),
+        flight_dir: a.text("--flight-dir").map(Into::into),
+        ..d
+    })
+}
+
+fn pipeline(a: &Args) -> Res<PipelineConfig> {
+    let mut p = PipelineConfig::new(a.value("--target", parse_target)?, a.num("--beam")?);
+    p.beam.log_decisions = a.has("--decisions");
+    Ok(p)
+}
+
+fn output(a: &Args) -> Output {
+    Output { path: a.text("--out"), compact: a.has("--compact") }
+}
+
+/// The fault plan: `--faults`, else a `--fault-seed` plan over the suite,
+/// else `VEGEN_FAULTS`. `None` means no injection.
+fn fault_plan(a: &Args) -> Res<Option<FaultPlan>> {
+    let seed = a.get::<u64>("--fault-seed")?;
+    let count = a.num("--fault-count")?;
+    let spec = match a.cli("--faults") {
+        Some(v) => Some(("--faults", v.to_string())),
+        None if seed.is_none() => a.env("--faults"),
+        None => None,
+    };
+    if let Some((source, spec)) = spec {
+        return FaultPlan::parse(&spec).map(Some).map_err(|e| format!("{source}: {e}"));
+    }
+    let names: Vec<&str> = vegen_kernels::all().iter().map(|k| k.name).collect();
+    Ok(seed.map(|seed| FaultPlan::seeded(&names, seed, count)))
+}
+
+fn suite_config(a: &Args) -> Res<SuiteConfig> {
+    let trace = (a.text("--trace"), a.text("--folded"));
+    // When `--trace`/`--folded` own the trace session, the flight
+    // recorder must not reset it out from under them.
+    let flight_rotate = trace == (None, None);
+    Ok(SuiteConfig {
+        engine: EngineConfig { flight_rotate, ..engine_config(a)? },
+        pipeline: pipeline(a)?,
+        runs: a.num::<usize>("--runs")?.max(1),
+        faults: fault_plan(a)?,
+        trace,
+        warm_start: a.has("--warm-start"),
+        out: output(a),
+    })
+}
+
+fn soak_config(a: &Args) -> Res<SoakConfig> {
+    let (shard_index, shard_count) = a.value("--shard", |v| {
+        let (i, n) = v.split_once('/').ok_or_else(|| format!("want I/N, got {v:?}"))?;
+        Ok((from_str(i)?, from_str(n)?))
+    })?;
+    Ok(SoakConfig {
+        seed: a.num("--seed")?,
+        count: a.num("--count")?,
+        shard_index,
+        shard_count,
+        trials: a.num("--trials")?,
+        fault_every: a.num("--fault-every")?,
+        target: a.value("--target", parse_target)?,
+        beam: a.num("--beam")?,
+        beam_threads: a.num("--beam-threads")?,
+        deadline: a.get("--deadline-ms")?.map(Duration::from_millis),
+        cache_dir: a.text("--cache-dir").map(Into::into),
+        cache_max_bytes: a.get("--cache-max-bytes")?,
+        minimize: !a.has("--no-minimize"),
+        minimize_budget: a.num("--minimize-budget")?,
+        seeds_out: a.text("--seeds-out").map(Into::into),
+        corrupt_vegen: a.get("--inject-miscompile")?,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// shared run steps
+// ---------------------------------------------------------------------------
+
+/// Build the engine, reporting each optional sink that failed to open,
+/// and load the disk cache into memory when `warm_start` is set.
+fn start_engine(tag: &str, cfg: EngineConfig, warm_start: bool) -> Engine {
+    let engine = Engine::new(cfg);
+    for (sink, err) in [
+        ("disk cache", engine.disk_open_error()),
+        ("event log", engine.event_open_error()),
+        ("flight recorder", engine.flight_open_error()),
+    ] {
+        if let Some(e) = err {
+            eprintln!("{tag}: {sink} disabled: {e}");
+        }
+    }
+    if warm_start {
+        let loaded = engine.warm_start();
+        eprintln!("{tag}: warm start loaded {loaded} cached compile(s)");
+    }
+    engine
+}
+
+/// One job per suite kernel.
+fn suite_jobs(pipeline: &PipelineConfig) -> Vec<Job> {
+    vegen_kernels::all()
+        .into_iter()
+        .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
+        .collect()
+}
+
+/// Publish a match table's structural statistics to the metrics registry.
+fn publish_match_table(stats: &MatchTableStats) {
+    vegen_trace::metrics::counter("speccheck_rules_total").add(stats.rules as u64);
+    vegen_trace::metrics::gauge("speccheck_dead_rules").set(stats.dead_rules as f64);
+    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(stats.max_overlap_class as f64);
+}
+
+fn write_file(path: &str, text: &str) -> Res<()> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Write a JSON report where `out` says: to its file, or to stdout.
+fn emit_report(tag: &str, doc: &Json, out: &Output) -> Res<()> {
+    let text = if out.compact { doc.render() } else { doc.render_pretty() };
+    match &out.path {
+        Some(path) => {
+            write_file(path, &text)?;
+            eprintln!("{tag}: report written to {path}");
+        }
+        None => println!("{text}"),
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// suite
+// ---------------------------------------------------------------------------
 
 /// Names of jobs whose compiled kernels failed verification, in input
 /// order (the suite prints each to stderr and exits nonzero).
@@ -64,284 +630,47 @@ pub fn failing_kernels(results: &[JobResult]) -> Vec<String> {
 
 /// Print the per-kernel failure table: every job that completed below
 /// [`Rung::Primary`], with its rung and the faults collected on the way
-/// down. Returns `(degraded, failed)` counts. Silent when the batch was
-/// entirely clean.
-pub fn print_failure_table(results: &[JobResult]) -> (usize, usize) {
+/// down. Silent when the batch was entirely clean. Returns how many jobs
+/// produced no program at all.
+fn print_failure_table(results: &[JobResult]) -> usize {
     let troubled: Vec<&JobResult> = results.iter().filter(|r| r.rung != Rung::Primary).collect();
-    if troubled.is_empty() {
-        return (0, 0);
+    if !troubled.is_empty() {
+        eprintln!("vegen-engine: {} kernel(s) below primary rung:", troubled.len());
+        eprintln!("  {:<24} {:<8} faults", "kernel", "rung");
     }
-    eprintln!("vegen-engine: {} kernel(s) below primary rung:", troubled.len());
-    eprintln!("  {:<24} {:<8} faults", "kernel", "rung");
-    let mut degraded = 0;
-    let mut failed = 0;
     for r in &troubled {
-        match r.rung {
-            Rung::Width1 | Rung::Scalar => degraded += 1,
-            Rung::Failed => failed += 1,
-            Rung::Primary | Rung::Skipped => {}
-        }
         let first = r.faults.first().map(|e| e.to_string()).unwrap_or_default();
         eprintln!("  {:<24} {:<8} {first}", r.name, r.rung.name());
         for fault in r.faults.iter().skip(1) {
             eprintln!("  {:<24} {:<8} {fault}", "", "");
         }
     }
-    (degraded, failed)
+    troubled.iter().filter(|r| r.rung == Rung::Failed).count()
 }
 
-/// Resolve the fault plan from explicit CLI options or the `VEGEN_FAULTS`
-/// environment variable (CLI wins). `None` means no injection.
-fn resolve_fault_plan(
-    spec: &Option<String>,
-    seed: Option<u64>,
-    count: usize,
-    kernel_names: &[&str],
-) -> Result<Option<FaultPlan>, String> {
-    if let Some(spec) = spec {
-        return FaultPlan::parse(spec).map(Some).map_err(|e| format!("--faults: {e}"));
-    }
-    if let Some(seed) = seed {
-        return Ok(Some(FaultPlan::seeded(kernel_names, seed, count)));
-    }
-    match std::env::var("VEGEN_FAULTS") {
-        Ok(spec) if !spec.is_empty() => {
-            FaultPlan::parse(&spec).map(Some).map_err(|e| format!("VEGEN_FAULTS: {e}"))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// Default intra-kernel beam-search thread count from the
-/// `VEGEN_BEAM_THREADS` environment variable (`0`/unset/unparseable =
-/// auto). An explicit `--beam-threads` always wins over the environment.
-fn env_beam_threads() -> usize {
-    std::env::var("VEGEN_BEAM_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-fn parse_target(s: &str) -> Result<TargetIsa, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "avx2" => Ok(TargetIsa::avx2()),
-        "avx512vnni" | "avx512-vnni" | "vnni" => Ok(TargetIsa::avx512vnni()),
-        "sse4" | "sse4.1" => Ok(TargetIsa::sse4()),
-        other => Err(format!("unknown target {other:?}")),
-    }
-}
-
-struct SuiteOptions {
-    target: TargetIsa,
-    beam: usize,
-    threads: usize,
-    beam_threads: usize,
-    runs: usize,
-    verify_trials: u64,
-    compact: bool,
-    out: Option<String>,
-    trace: Option<String>,
-    folded: Option<String>,
-    decisions: bool,
-    deadline_ms: Option<u64>,
-    fail_fast: bool,
-    faults: Option<String>,
-    fault_seed: Option<u64>,
-    fault_count: usize,
-    cache_dir: Option<String>,
-    cache_max_bytes: Option<u64>,
-    warm_start: bool,
-    event_log: Option<String>,
-    flight_dir: Option<String>,
-}
-
-fn parse_suite_args(args: &[String]) -> Result<Option<SuiteOptions>, String> {
-    let mut opts = SuiteOptions {
-        target: TargetIsa::avx2(),
-        beam: 16,
-        threads: 0,
-        beam_threads: env_beam_threads(),
-        runs: 2,
-        verify_trials: 16,
-        compact: false,
-        out: None,
-        trace: None,
-        folded: None,
-        decisions: false,
-        deadline_ms: None,
-        fail_fast: false,
-        faults: None,
-        fault_seed: None,
-        fault_count: 3,
-        cache_dir: None,
-        cache_max_bytes: None,
-        warm_start: false,
-        event_log: None,
-        flight_dir: None,
-    };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().cloned().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--target" => opts.target = parse_target(&value("--target")?)?,
-            "--beam" => opts.beam = value("--beam")?.parse().map_err(|e| format!("--beam: {e}"))?,
-            "--threads" => {
-                opts.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--beam-threads" => {
-                opts.beam_threads =
-                    value("--beam-threads")?.parse().map_err(|e| format!("--beam-threads: {e}"))?
-            }
-            "--runs" => {
-                opts.runs =
-                    value("--runs")?.parse::<usize>().map_err(|e| format!("--runs: {e}"))?.max(1)
-            }
-            "--no-verify" => opts.verify_trials = 0,
-            "--compact" => opts.compact = true,
-            "--out" => opts.out = Some(value("--out")?),
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--folded" => opts.folded = Some(value("--folded")?),
-            "--decisions" => opts.decisions = true,
-            "--deadline-ms" => {
-                opts.deadline_ms = Some(
-                    value("--deadline-ms")?.parse().map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
-            "--fail-fast" => opts.fail_fast = true,
-            "--faults" => opts.faults = Some(value("--faults")?),
-            "--fault-seed" => {
-                opts.fault_seed =
-                    Some(value("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?)
-            }
-            "--fault-count" => {
-                opts.fault_count =
-                    value("--fault-count")?.parse().map_err(|e| format!("--fault-count: {e}"))?
-            }
-            "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--cache-max-bytes" => {
-                opts.cache_max_bytes = Some(
-                    value("--cache-max-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-bytes: {e}"))?,
-                )
-            }
-            "--warm-start" => opts.warm_start = true,
-            "--event-log" => opts.event_log = Some(value("--event-log")?),
-            "--flight-dir" => opts.flight_dir = Some(value("--flight-dir")?),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine [--target avx2|avx512vnni] [--beam N] [--threads N]\n\
-                     \x20                   [--beam-threads N] [--runs N] [--no-verify]\n\
-                     \x20                   [--compact] [--out FILE]\n\
-                     \x20                   [--trace FILE] [--folded FILE] [--decisions]\n\
-                     \x20                   [--deadline-ms N] [--fail-fast]\n\
-                     \x20                   [--faults SPEC] [--fault-seed N] [--fault-count N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N] [--warm-start]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]\n\
-                     \x20      vegen-engine soak --seed N --count N [--shard I/N] [--trials N]\n\
-                     \x20                   [--fault-every K] [--target T] [--beam N]\n\
-                     \x20                   [--beam-threads N] [--deadline-ms N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N]\n\
-                     \x20                   [--seeds-out DIR] [--no-minimize] [--out FILE]\n\
-                     \x20      vegen-engine serve (--stdio | --socket PATH) [--cache-dir DIR]\n\
-                     \x20                   [--warm-start] [--threads N] [--queue N] [--target T]\n\
-                     \x20                   [--beam N] [--deadline-ms N] [--no-verify]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]\n\
-                     \x20      vegen-engine stats --socket PATH [--prometheus | --json]\n\
-                     \x20      vegen-engine explain <kernel> [--target T] [--beam N] [--max-iters N]\n\
-                     \x20      vegen-engine lint [--target T] [--beam N] [--threads N] [--out FILE]\n\
-                     \x20      vegen-engine check-specs [--target T|all] [--json] [--out FILE]\n\
-                     \x20                   [--corrupt KIND] [--no-canon]\n\
-                     \x20      vegen-engine diff <old.json> <new.json> [--max-regress PCT]\n\
-                     \x20                   [--strict-counters]\n\
-                     fault SPEC is kernel:stage:kind[,...], kind = panic|error|delay=<ms>,\n\
-                     `!` suffix fires on every ladder attempt; VEGEN_FAULTS env is the fallback"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(Some(opts))
-}
-
-fn run_suite(args: &[String]) -> i32 {
-    let opts = match parse_suite_args(args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return 0,
-        Err(e) => {
-            eprintln!("vegen-engine: {e}");
-            return 2;
-        }
-    };
-
-    let tracing = opts.trace.is_some() || opts.folded.is_some();
+fn run_suite(cfg: SuiteConfig) -> Res<i32> {
+    const TAG: &str = "vegen-engine";
+    let (trace, folded) = &cfg.trace;
+    let tracing = trace.is_some() || folded.is_some();
     if tracing {
         vegen_trace::enable(vegen_trace::DEFAULT_CAPACITY);
     }
-
-    let engine = Engine::new(EngineConfig {
-        threads: opts.threads,
-        verify_trials: opts.verify_trials,
-        deadline: opts.deadline_ms.map(Duration::from_millis),
-        fail_fast: opts.fail_fast,
-        cache_dir: opts.cache_dir.clone().map(PathBuf::from),
-        cache_max_bytes: opts.cache_max_bytes,
-        beam_threads: opts.beam_threads,
-        event_log: opts.event_log.clone().map(PathBuf::from),
-        flight_dir: opts.flight_dir.clone().map(PathBuf::from),
-        // When `--trace`/`--folded` own the trace session, the flight
-        // recorder must not reset it out from under them.
-        flight_rotate: !tracing,
-        ..EngineConfig::default()
-    });
-    if let Some(e) = engine.disk_open_error() {
-        eprintln!("vegen-engine: disk cache disabled: {e}");
+    let engine = start_engine(TAG, cfg.engine.clone(), cfg.warm_start);
+    if let Some(plan) = cfg.faults {
+        let targets: Vec<String> =
+            plan.specs().map(|s| format!("{}:{}:{}", s.kernel, s.stage, s.kind.tag())).collect();
+        eprintln!("{TAG}: fault injection active — {}", targets.join(", "));
+        vegen::fault::install(plan);
     }
-    if let Some(e) = engine.event_open_error() {
-        eprintln!("vegen-engine: event log disabled: {e}");
-    }
-    if let Some(e) = engine.flight_open_error() {
-        eprintln!("vegen-engine: flight recorder disabled: {e}");
-    }
-    if opts.warm_start {
-        let loaded = engine.warm_start();
-        eprintln!("vegen-engine: warm start loaded {loaded} cached compile(s)");
-    }
-    let pipeline = PipelineConfig {
-        target: opts.target.clone(),
-        beam: BeamConfig { log_decisions: opts.decisions, ..BeamConfig::with_width(opts.beam) },
-        canonicalize_patterns: true,
+    let resolved_threads = match cfg.engine.threads {
+        0 => crate::pool::default_threads(vegen_kernels::all().len()),
+        n => n,
     };
-    // Jobs are rebuilt per run (not cloned across runs) so every
-    // execution gets its own correlation id in the event log.
-    let make_jobs = || -> Vec<Job> {
-        vegen_kernels::all()
-            .into_iter()
-            .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
-            .collect()
-    };
-    let kernel_names: Vec<&str> = vegen_kernels::all().iter().map(|k| k.name).collect();
-    match resolve_fault_plan(&opts.faults, opts.fault_seed, opts.fault_count, &kernel_names) {
-        Ok(Some(plan)) => {
-            let targets: Vec<String> = plan
-                .specs()
-                .map(|s| format!("{}:{}:{}", s.kernel, s.stage, s.kind.tag()))
-                .collect();
-            eprintln!("vegen-engine: fault injection active — {}", targets.join(", "));
-            vegen::fault::install(plan);
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("vegen-engine: {e}");
-            return 2;
-        }
-    }
-    let job_count = vegen_kernels::all().len();
-    let resolved_threads =
-        if opts.threads == 0 { crate::pool::default_threads(job_count) } else { opts.threads };
 
     let mut runs = Vec::new();
     let mut failed = false;
     let mut hard_failures = 0usize;
-    for i in 0..opts.runs {
+    for i in 0..cfg.runs {
         let label = match i {
             0 => "cold".to_string(),
             1 => "warm".to_string(),
@@ -349,19 +678,21 @@ fn run_suite(args: &[String]) -> i32 {
         };
         let _run_span = vegen_trace::enabled()
             .then(|| vegen_trace::span_owned("engine", format!("run:{label}")));
-        let jobs = make_jobs();
+        // Jobs are rebuilt per run (not cloned across runs) so every
+        // execution gets its own correlation id in the event log.
+        let jobs = suite_jobs(&cfg.pipeline);
         let t0 = Instant::now();
         let results = engine.compile_batch(&jobs);
         let wall = t0.elapsed();
         for r in &results {
             if let Some(e) = &r.verify_error {
-                eprintln!("vegen-engine: kernel {} FAILED verification: {e}", r.name);
+                eprintln!("{TAG}: kernel {} FAILED verification: {e}", r.name);
                 failed = true;
             }
         }
         let hits = results.iter().filter(|r| r.cache_hit).count();
         eprintln!(
-            "vegen-engine: {label} run — {} kernels in {wall:.2?} on {resolved_threads} threads, \
+            "{TAG}: {label} run — {} kernels in {wall:.2?} on {resolved_threads} threads, \
              {hits}/{} cache hits",
             results.len(),
             results.len(),
@@ -369,9 +700,8 @@ fn run_suite(args: &[String]) -> i32 {
         // Degraded kernels (width-1 / scalar rungs) are reported, not
         // fatal: graceful degradation is the whole point. Only a kernel
         // with *no* program at all (or a fail-fast abort) gates.
-        let (_, run_failed) = print_failure_table(&results);
-        hard_failures += run_failed;
-        if opts.fail_fast && results.iter().any(|r| r.rung != Rung::Primary) {
+        hard_failures += print_failure_table(&results);
+        if cfg.engine.fail_fast && results.iter().any(|r| r.rung != Rung::Primary) {
             hard_failures += 1;
         }
         runs.push(RunReport::new(label, wall, &results));
@@ -387,43 +717,34 @@ fn run_suite(args: &[String]) -> i32 {
             events: data.event_count(),
             dropped: data.dropped(),
             threads: data.threads.len(),
-            file: opts.trace.clone(),
-            folded_file: opts.folded.clone(),
+            file: trace.clone(),
+            folded_file: folded.clone(),
         };
-        if let Some(path) = &opts.trace {
-            let text = vegen_trace::export::chrome_trace(&data).render();
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
+        if let Some(path) = trace {
+            write_file(path, &vegen_trace::export::chrome_trace(&data).render())?;
             eprintln!(
-                "vegen-engine: trace written to {path} ({} events, {} dropped)",
+                "{TAG}: trace written to {path} ({} events, {} dropped)",
                 trace_summary.events, trace_summary.dropped
             );
         }
-        if let Some(path) = &opts.folded {
-            if let Err(e) = std::fs::write(path, vegen_trace::export::folded_stacks(&data)) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("vegen-engine: folded stacks written to {path}");
+        if let Some(path) = folded {
+            write_file(path, &vegen_trace::export::folded_stacks(&data))?;
+            eprintln!("{TAG}: folded stacks written to {path}");
         }
     }
 
     // Structural match-table statistics (cheap: the table is already
     // cached process-wide after the first compile). The full speccheck
     // audit stays out of the suite path — that is `check-specs`' job.
-    let table = vegen_analysis::match_table_stats(&target_desc(&opts.target, true));
-    vegen_trace::metrics::counter("speccheck_rules_total").add(table.rules as u64);
-    vegen_trace::metrics::gauge("speccheck_dead_rules").set(table.dead_rules as f64);
-    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(table.max_overlap_class as f64);
+    let table = vegen_analysis::match_table_stats(&target_desc(&cfg.pipeline.target, true));
+    publish_match_table(&table);
 
     let report = EngineReport {
-        target: opts.target.name.clone(),
-        beam_width: opts.beam,
+        target: cfg.pipeline.target.name.clone(),
+        beam_width: cfg.pipeline.beam.width,
         threads: resolved_threads,
-        beam_threads: opts.beam_threads,
-        verify_trials: opts.verify_trials,
+        beam_threads: cfg.engine.beam_threads,
+        verify_trials: cfg.engine.verify_trials,
         runs,
         cache: engine.cache_stats(),
         disk: engine.disk_stats(),
@@ -432,23 +753,8 @@ fn run_suite(args: &[String]) -> i32 {
         match_table: table,
         soak: None,
     };
-    let doc = report.to_json();
-    let text = if opts.compact { doc.render() } else { doc.render_pretty() };
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("vegen-engine: report written to {path}");
-        }
-        None => println!("{text}"),
-    }
-    if failed || hard_failures > 0 {
-        1
-    } else {
-        0
-    }
+    emit_report(TAG, &report.to_json(), &cfg.out)?;
+    Ok(i32::from(failed || hard_failures > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -458,98 +764,13 @@ fn run_suite(args: &[String]) -> i32 {
 /// Run the generated-kernel soak harness (see [`crate::soak`]). Exit
 /// code 0 when every non-faulted kernel passes the differential check
 /// and provenance audit (degradations allowed), 1 on any unexplained
-/// failure, 2 on usage errors.
-fn run_soak_cmd(args: &[String]) -> i32 {
-    use crate::soak::{run_soak, SoakConfig, SoakStatus};
-
-    let mut cfg = SoakConfig { beam_threads: env_beam_threads(), ..SoakConfig::default() };
-    let mut out: Option<String> = None;
-    let mut compact = false;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--seed" => value("--seed")
-                .and_then(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-                .map(|n| cfg.seed = n),
-            "--count" => value("--count")
-                .and_then(|v| v.parse().map_err(|e| format!("--count: {e}")))
-                .map(|n| cfg.count = n),
-            "--shard" => value("--shard").and_then(|v| {
-                let (i, n) =
-                    v.split_once('/').ok_or_else(|| format!("--shard: want I/N, got {v:?}"))?;
-                cfg.shard_index = i.parse().map_err(|e| format!("--shard index: {e}"))?;
-                cfg.shard_count = n.parse().map_err(|e| format!("--shard count: {e}"))?;
-                Ok(())
-            }),
-            "--trials" => value("--trials")
-                .and_then(|v| v.parse().map_err(|e| format!("--trials: {e}")))
-                .map(|n| cfg.trials = n),
-            "--fault-every" => value("--fault-every")
-                .and_then(|v| v.parse().map_err(|e| format!("--fault-every: {e}")))
-                .map(|n| cfg.fault_every = n),
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| cfg.target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|n| cfg.beam = n),
-            "--beam-threads" => value("--beam-threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam-threads: {e}")))
-                .map(|n| cfg.beam_threads = n),
-            "--deadline-ms" => value("--deadline-ms")
-                .and_then(|v| v.parse().map_err(|e| format!("--deadline-ms: {e}")))
-                .map(|n| cfg.deadline = Some(Duration::from_millis(n))),
-            "--cache-dir" => value("--cache-dir").map(|v| cfg.cache_dir = Some(PathBuf::from(v))),
-            "--cache-max-bytes" => value("--cache-max-bytes")
-                .and_then(|v| v.parse().map_err(|e| format!("--cache-max-bytes: {e}")))
-                .map(|n| cfg.cache_max_bytes = Some(n)),
-            "--seeds-out" => value("--seeds-out").map(|v| cfg.seeds_out = Some(PathBuf::from(v))),
-            "--no-minimize" => {
-                cfg.minimize = false;
-                Ok(())
-            }
-            "--minimize-budget" => value("--minimize-budget")
-                .and_then(|v| v.parse().map_err(|e| format!("--minimize-budget: {e}")))
-                .map(|n| cfg.minimize_budget = n),
-            // Test-only: deterministically corrupt every compiled vegen
-            // program so the differential check must catch it.
-            "--inject-miscompile" => value("--inject-miscompile")
-                .and_then(|v| v.parse().map_err(|e| format!("--inject-miscompile: {e}")))
-                .map(|n| cfg.corrupt_vegen = Some(n)),
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--compact" => {
-                compact = true;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine soak --seed N --count N [--shard I/N] [--trials N]\n\
-                     \x20                   [--fault-every K] [--target T] [--beam N]\n\
-                     \x20                   [--beam-threads N] [--deadline-ms N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N]\n\
-                     \x20                   [--seeds-out DIR] [--no-minimize]\n\
-                     \x20                   [--minimize-budget N] [--out FILE] [--compact]\n\
-                     kernel i is generate(seed, i): any kernel replays from the two integers"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine soak: {e}");
-            return 2;
-        }
-    }
-
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine soak: {e}");
-            return 2;
-        }
-    };
+/// failure.
+fn run_soak_cmd(cfg: &SoakConfig, out: &Output) -> Res<i32> {
+    const TAG: &str = "vegen-engine soak";
+    let report = run_soak(cfg)?;
     let count = |s: SoakStatus| report.results.iter().filter(|r| r.status == s).count();
     eprintln!(
-        "vegen-engine soak: seed {} — {} kernel(s) (shard {}/{}) in {:.2?}: \
+        "{TAG}: seed {} — {} kernel(s) (shard {}/{}) in {:.2?}: \
          {} passed, {} faulted-degraded, {} degraded, {} diff failure(s), \
          {} provenance failure(s), {} aborted; vectorization rate {:.1}%",
         cfg.seed,
@@ -566,10 +787,10 @@ fn run_soak_cmd(args: &[String]) -> i32 {
         report.vectorization_rate() * 100.0,
     );
     for r in report.results.iter().filter(|r| r.status.is_failure()) {
-        eprintln!("vegen-engine soak: {} [{}] {}: {}", r.name, r.shape, r.status.name(), r.detail);
+        eprintln!("{TAG}: {} [{}] {}: {}", r.name, r.shape, r.status.name(), r.detail);
         if let Some(m) = &r.minimized {
             eprintln!(
-                "vegen-engine soak:   minimized {} -> {} inst(s){}:\n{}",
+                "{TAG}:   minimized {} -> {} inst(s){}:\n{}",
                 m.from_insts,
                 m.insts,
                 m.seed_file.as_deref().map(|p| format!(" (seed file {p})")).unwrap_or_default(),
@@ -578,7 +799,6 @@ fn run_soak_cmd(args: &[String]) -> i32 {
         }
     }
 
-    let table = vegen_analysis::match_table_stats(&target_desc(&cfg.target, true));
     let doc = EngineReport {
         target: cfg.target.name.clone(),
         beam_width: cfg.beam,
@@ -590,166 +810,41 @@ fn run_soak_cmd(args: &[String]) -> i32 {
         disk: report.disk,
         counters: report.counters,
         trace: TraceSummary::default(),
-        match_table: table,
+        match_table: vegen_analysis::match_table_stats(&target_desc(&cfg.target, true)),
         soak: Some(report.soak_json()),
-    }
-    .to_json();
-    let text = if compact { doc.render() } else { doc.render_pretty() };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine soak: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("vegen-engine soak: report written to {path}");
-        }
-        None => println!("{text}"),
-    }
-    if report.unexplained_failures() > 0 {
-        1
-    } else {
-        0
-    }
+    };
+    emit_report(TAG, &doc.to_json(), out)?;
+    Ok(i32::from(report.unexplained_failures() > 0))
 }
 
 // ---------------------------------------------------------------------------
 // serve
 // ---------------------------------------------------------------------------
 
-/// Run the resident compile daemon over stdio or a Unix socket. Exit code
-/// 0 on clean drain, 2 on usage or bind errors.
-fn run_serve(args: &[String]) -> i32 {
-    let mut stdio = false;
-    let mut socket: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut warm_start = false;
-    let mut threads = 0usize;
-    let mut beam_threads = env_beam_threads();
-    let mut queue = 64usize;
-    let mut deadline_ms: Option<u64> = None;
-    let mut verify_trials = 16u64;
-    let mut target = TargetIsa::avx2();
-    let mut beam = 16usize;
-    let mut event_log: Option<String> = None;
-    let mut flight_dir: Option<String> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--stdio" => {
-                stdio = true;
-                Ok(())
-            }
-            "--socket" => value("--socket").map(|v| socket = Some(v)),
-            "--cache-dir" => value("--cache-dir").map(|v| cache_dir = Some(v)),
-            "--cache-max-bytes" => value("--cache-max-bytes")
-                .and_then(|v| v.parse().map_err(|e| format!("--cache-max-bytes: {e}")))
-                .map(|n| cache_max_bytes = Some(n)),
-            "--warm-start" => {
-                warm_start = true;
-                Ok(())
-            }
-            "--threads" => value("--threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--threads: {e}")))
-                .map(|n| threads = n),
-            "--beam-threads" => value("--beam-threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam-threads: {e}")))
-                .map(|n| beam_threads = n),
-            "--queue" => value("--queue")
-                .and_then(|v| v.parse().map_err(|e| format!("--queue: {e}")))
-                .and_then(|n: usize| {
-                    if n == 0 {
-                        Err("--queue: capacity must be at least 1".to_string())
-                    } else {
-                        queue = n;
-                        Ok(())
-                    }
-                }),
-            "--deadline-ms" => value("--deadline-ms")
-                .and_then(|v| v.parse().map_err(|e| format!("--deadline-ms: {e}")))
-                .map(|n| deadline_ms = Some(n)),
-            "--no-verify" => {
-                verify_trials = 0;
-                Ok(())
-            }
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|w| beam = w),
-            "--event-log" => value("--event-log").map(|v| event_log = Some(v)),
-            "--flight-dir" => value("--flight-dir").map(|v| flight_dir = Some(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine serve (--stdio | --socket PATH) [--cache-dir DIR]\n\
-                     \x20                   [--warm-start] [--threads N] [--beam-threads N]\n\
-                     \x20                   [--queue N] [--target T] [--beam N]\n\
-                     \x20                   [--deadline-ms N] [--no-verify]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine serve: {e}");
-            return 2;
-        }
-    }
-    if stdio == socket.is_some() {
-        eprintln!("vegen-engine serve: pass exactly one of --stdio or --socket PATH");
-        return 2;
-    }
-
-    let engine = Engine::new(EngineConfig {
-        threads,
-        verify_trials,
-        deadline: deadline_ms.map(Duration::from_millis),
-        cache_dir: cache_dir.map(PathBuf::from),
-        cache_max_bytes,
-        beam_threads,
-        event_log: event_log.map(PathBuf::from),
-        flight_dir: flight_dir.map(PathBuf::from),
-        ..EngineConfig::default()
-    });
-    if let Some(e) = engine.disk_open_error() {
-        eprintln!("vegen-engine serve: disk cache disabled: {e}");
-    }
-    if let Some(e) = engine.event_open_error() {
-        eprintln!("vegen-engine serve: event log disabled: {e}");
-    }
-    if let Some(e) = engine.flight_open_error() {
-        eprintln!("vegen-engine serve: flight recorder disabled: {e}");
-    }
-    if warm_start {
-        let loaded = engine.warm_start();
-        eprintln!("vegen-engine serve: warm start loaded {loaded} cached compile(s)");
-    }
+/// Run the resident compile daemon over stdio or a Unix socket until it
+/// drains.
+fn run_serve(
+    engine: EngineConfig,
+    cfg: &ServeConfig,
+    socket: Option<String>,
+    warm_start: bool,
+) -> Res<i32> {
+    const TAG: &str = "vegen-engine serve";
+    let engine = start_engine(TAG, engine, warm_start);
     // Publish the match table's structural statistics up front so
     // `vegen-engine stats` can read them live (and the first compile
     // finds the table already built).
-    let table = vegen_analysis::match_table_stats(&target_desc(&target, true));
-    vegen_trace::metrics::counter("speccheck_rules_total").add(table.rules as u64);
-    vegen_trace::metrics::gauge("speccheck_dead_rules").set(table.dead_rules as f64);
-    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(table.max_overlap_class as f64);
+    publish_match_table(&vegen_analysis::match_table_stats(&target_desc(&cfg.target, true)));
 
-    let cfg = ServeConfig { queue_capacity: queue, target, beam_width: beam };
-
-    let summary = if stdio {
-        serve::serve_lines(&engine, &cfg, std::io::stdin().lock(), std::io::stdout())
-    } else {
-        let path = socket.expect("checked above");
-        eprintln!("vegen-engine serve: listening on {path}");
-        match serve::serve_socket(&engine, &cfg, std::path::Path::new(&path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("vegen-engine serve: {e}");
-                return 2;
-            }
+    let summary = match socket {
+        None => serve::serve_lines(&engine, cfg, std::io::stdin().lock(), std::io::stdout()),
+        Some(path) => {
+            eprintln!("{TAG}: listening on {path}");
+            serve::serve_socket(&engine, cfg, std::path::Path::new(&path))?
         }
     };
     eprintln!(
-        "vegen-engine serve: drained — {} request(s), {} compile(s), {} shed, {} expired, \
+        "{TAG}: drained — {} request(s), {} compile(s), {} shed, {} expired, \
          {} rejected while draining, {} protocol error(s)",
         summary.requests,
         summary.compiles,
@@ -758,7 +853,7 @@ fn run_serve(args: &[String]) -> i32 {
         summary.rejected_draining,
         summary.protocol_errors
     );
-    0
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -784,198 +879,82 @@ fn render_stats_table(snapshot: &Json) -> String {
             "{:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
             "histogram", "count", "p50", "p90", "p99", "max"
         );
-        for (name, h) in &histograms {
-            let field = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            let _ = writeln!(
-                out,
-                "{name:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                field("count") as u64,
-                field("p50") as u64,
-                field("p90") as u64,
-                field("p99") as u64,
-                field("max") as u64,
-            );
-        }
     }
-    let counters = entries("counters");
-    if !counters.is_empty() {
-        let _ = writeln!(out, "{:<32} {:>8}", "counter", "value");
-        for (name, v) in &counters {
-            let _ = writeln!(out, "{name:<32} {:>8}", v.as_f64().unwrap_or(0.0) as u64);
-        }
+    for (name, h) in &histograms {
+        let field = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+        let _ = writeln!(
+            out,
+            "{name:<32} {:>8} {:>10} {:>10} {:>10} {:>10}",
+            field("count"),
+            field("p50"),
+            field("p90"),
+            field("p99"),
+            field("max"),
+        );
     }
-    let gauges = entries("gauges");
-    if !gauges.is_empty() {
-        let _ = writeln!(out, "{:<32} {:>12}", "gauge", "value");
-        for (name, v) in &gauges {
-            let _ = writeln!(out, "{name:<32} {:>12.4}", v.as_f64().unwrap_or(0.0));
+    for (kind, width, precision) in [("counter", 8, 0), ("gauge", 12, 4)] {
+        let values = entries(&format!("{kind}s"));
+        if !values.is_empty() {
+            let _ = writeln!(out, "{kind:<32} {:>width$}", "value");
+        }
+        for (name, v) in &values {
+            let _ = writeln!(out, "{name:<32} {:>width$.precision$}", v.as_f64().unwrap_or(0.0));
         }
     }
     out
 }
 
-/// Write scrape output without panicking when stdout is a closed pipe
-/// (`stats | head` must exit cleanly — it is the command built to be
-/// piped).
-fn write_stats_output(text: &str) {
-    use std::io::Write as _;
-    let _ = std::io::stdout().write_all(text.as_bytes());
-}
-
 /// Scrape a running serve daemon's metrics registry over its Unix socket
 /// and print it: a human table by default, raw Prometheus text with
-/// `--prometheus`, or the JSON snapshot with `--json`. Exit code 2 on
-/// usage, connect, or protocol errors.
-fn run_stats(args: &[String]) -> i32 {
+/// `--prometheus`, or the JSON snapshot with `--json`.
+fn run_stats(path: &str, format: &str) -> Res<i32> {
     use std::io::{BufRead as _, BufReader, Write as _};
-    let mut socket: Option<String> = None;
-    let mut prometheus = false;
-    let mut json = false;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--socket" => match args.next() {
-                Some(v) => socket = Some(v.clone()),
-                None => {
-                    eprintln!("vegen-engine stats: --socket needs a value");
-                    return 2;
-                }
-            },
-            "--prometheus" => prometheus = true,
-            "--json" => json = true,
-            "--help" | "-h" => {
-                eprintln!("usage: vegen-engine stats --socket PATH [--prometheus | --json]");
-                return 0;
-            }
-            other => {
-                eprintln!("vegen-engine stats: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let Some(path) = socket else {
-        eprintln!("usage: vegen-engine stats --socket PATH [--prometheus | --json]");
-        return 2;
-    };
-    if prometheus && json {
-        eprintln!("vegen-engine stats: pass at most one of --prometheus or --json");
-        return 2;
-    }
-    let stream = match std::os::unix::net::UnixStream::connect(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vegen-engine stats: cannot connect to {path}: {e}");
-            return 2;
-        }
-    };
+    let stream = std::os::unix::net::UnixStream::connect(path)
+        .map_err(|e| format!("cannot connect to {path}: {e}"))?;
     let mut request = vec![("op", Json::str("stats")), ("id", Json::str("stats-cli"))];
-    if prometheus {
+    if format == "prometheus" {
         request.push(("format", Json::str("prometheus")));
     }
-    let mut write_half = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("vegen-engine stats: {e}");
-            return 2;
-        }
-    };
-    if let Err(e) = writeln!(write_half, "{}", Json::obj(request).render()) {
-        eprintln!("vegen-engine stats: cannot send request: {e}");
-        return 2;
-    }
+    writeln!(stream.try_clone().map_err(|e| e.to_string())?, "{}", Json::obj(request).render())
+        .map_err(|e| format!("cannot send request: {e}"))?;
     let mut line = String::new();
-    if let Err(e) = BufReader::new(stream).read_line(&mut line) {
-        eprintln!("vegen-engine stats: cannot read response: {e}");
-        return 2;
-    }
-    let response = match Json::parse(&line) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine stats: malformed response: {e}");
-            return 2;
-        }
-    };
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("cannot read response: {e}"))?;
+    let response = Json::parse(&line).map_err(|e| format!("malformed response: {e}"))?;
     if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        eprintln!("vegen-engine stats: daemon error: {}", response.render());
-        return 2;
+        return Err(format!("daemon error: {}", response.render()));
     }
-    let Some(result) = response.get("result") else {
-        eprintln!("vegen-engine stats: response has no result");
-        return 2;
+    let result = response.get("result").ok_or("response has no result")?;
+    let text = match format {
+        "prometheus" => result
+            .get("prometheus")
+            .and_then(Json::as_str)
+            .ok_or("response has no prometheus text")?
+            .to_string(),
+        "json" => format!("{}\n", result.render_pretty()),
+        _ => render_stats_table(result),
     };
-    if prometheus {
-        match result.get("prometheus").and_then(Json::as_str) {
-            Some(text) => write_stats_output(text),
-            None => {
-                eprintln!("vegen-engine stats: response has no prometheus text");
-                return 2;
-            }
-        }
-    } else if json {
-        write_stats_output(&format!("{}\n", result.render_pretty()));
-    } else {
-        write_stats_output(&render_stats_table(result));
-    }
-    0
+    // Ignore write errors: `stats | head` must exit cleanly when stdout
+    // is a closed pipe — this is the command built to be piped.
+    let _ = std::io::stdout().write_all(text.as_bytes());
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
 // explain
 // ---------------------------------------------------------------------------
 
-fn run_explain(args: &[String]) -> i32 {
-    let mut name: Option<String> = None;
-    let mut target = TargetIsa::avx2();
-    let mut beam = 64usize;
-    let mut max_iters: Option<usize> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        match arg.as_str() {
-            "--target" => match value("--target").and_then(|v| parse_target(&v)) {
-                Ok(t) => target = t,
-                Err(e) => {
-                    eprintln!("vegen-engine explain: {e}");
-                    return 2;
-                }
-            },
-            "--beam" => match value("--beam").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                Ok(w) => beam = w,
-                Err(e) => {
-                    eprintln!("vegen-engine explain: --beam: {e}");
-                    return 2;
-                }
-            },
-            "--max-iters" => {
-                match value("--max-iters").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(n) => max_iters = Some(n),
-                    Err(e) => {
-                        eprintln!("vegen-engine explain: --max-iters: {e}");
-                        return 2;
-                    }
-                }
-            }
-            other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
-            other => {
-                eprintln!("vegen-engine explain: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("usage: vegen-engine explain <kernel> [--target T] [--beam N] [--max-iters N]");
-        return 2;
+fn run_explain(name: &str, pipeline: &PipelineConfig, max_iters: Option<usize>) -> Res<i32> {
+    let Some(kernel) = vegen_kernels::find(name) else {
+        let available: Vec<String> =
+            vegen_kernels::all().iter().map(|k| format!("  {} ({:?})", k.name, k.suite)).collect();
+        return Err(format!("unknown kernel {name:?}; available:\n{}", available.join("\n")));
     };
-    let Some(kernel) = vegen_kernels::find(&name) else {
-        eprintln!("vegen-engine explain: unknown kernel {name:?}; available:");
-        for k in vegen_kernels::all() {
-            eprintln!("  {} ({:?})", k.name, k.suite);
-        }
-        return 2;
-    };
+    let (target, beam) = (&pipeline.target, pipeline.beam.width);
 
     let f = prepare(&(kernel.build)());
-    let desc = target_desc(&target, true);
+    let desc = target_desc(target, true);
     let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
 
     println!("explain {} (target {}, beam {beam})", kernel.name, target.name);
@@ -995,13 +974,7 @@ fn run_explain(args: &[String]) -> i32 {
     let t0 = Instant::now();
     // No budget is set here, so the search cannot fail — but surface a
     // typed error cleanly rather than panicking if that ever changes.
-    let r = match select_packs(&ctx, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine explain: selection failed: {e}");
-            return 2;
-        }
-    };
+    let r = select_packs(&ctx, &cfg).map_err(|e| format!("selection failed: {e}"))?;
     let wall = t0.elapsed();
     println!(
         "selection: scalar {:.1} → vector {:.1} ({:.2}x estimated), {} states expanded in {wall:.2?}",
@@ -1039,31 +1012,22 @@ fn run_explain(args: &[String]) -> i32 {
     // (so the profitability backstop and lowering are the real ones, and
     // the printed job carries the correlation id and cache source that
     // cross-reference the event log and any flight dump).
-    let pipeline = PipelineConfig {
-        target: target.clone(),
-        beam: BeamConfig::with_width(beam),
-        canonicalize_patterns: true,
-    };
     let engine = Engine::new(EngineConfig { threads: 1, verify_trials: 0, ..Default::default() });
-    let result = engine.compile_one(kernel.name, &(kernel.build)(), &pipeline);
-    println!(
-        "job: corr {} rung {} cache {}",
-        result.corr,
-        result.rung.name(),
-        result.cache_source()
-    );
+    let result = engine.compile_one(kernel.name, &(kernel.build)(), pipeline);
+    let (corr, rung, cache) = (&result.corr, result.rung.name(), result.cache_source());
+    println!("job: corr {corr} rung {rung} cache {cache}");
     let Some(compiled) = result.kernel.as_deref() else {
         eprintln!("vegen-engine explain: compilation produced no program:");
         for fault in &result.faults {
             eprintln!("  {fault}");
         }
-        return 1;
+        return Ok(1);
     };
     println!("static validation: {}", compiled.analysis.verdict());
     for d in compiled.analysis.all() {
         println!("  {d}");
     }
-    0
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1073,137 +1037,70 @@ fn run_explain(args: &[String]) -> i32 {
 /// Run the static validators over the whole suite. Exit code 1 when any
 /// kernel has an error-severity finding; warnings are reported but do not
 /// gate. `--out` writes the diagnostics as a JSON artifact.
-fn run_lint(args: &[String]) -> i32 {
-    let mut target = TargetIsa::avx2();
-    let mut beam = 16usize;
-    let mut threads = 0usize;
-    let mut out: Option<String> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|w| beam = w),
-            "--threads" => value("--threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--threads: {e}")))
-                .map(|n| threads = n),
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine lint [--target avx2|avx512vnni] [--beam N] \
-                     [--threads N] [--out FILE]"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine lint: {e}");
-            return 2;
-        }
-    }
-
-    // Verification trials off: this gate is purely static; the suite mode
-    // covers dynamic checking.
-    let engine = Engine::new(EngineConfig { threads, verify_trials: 0, ..EngineConfig::default() });
-    let pipeline = PipelineConfig {
-        target: target.clone(),
-        beam: BeamConfig::with_width(beam),
-        canonicalize_patterns: true,
-    };
-    let jobs: Vec<Job> = vegen_kernels::all()
-        .into_iter()
-        .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
-        .collect();
+fn run_lint(engine: EngineConfig, pipeline: &PipelineConfig, out: &Output) -> Res<i32> {
+    let engine = Engine::new(engine);
     let t0 = Instant::now();
-    let results = engine.compile_batch(&jobs);
+    let results = engine.compile_batch(&suite_jobs(pipeline));
     let wall = t0.elapsed();
 
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
     let mut rows = Vec::new();
     for r in &results {
+        let (name, corr, cache, rung) = (&r.name, &r.corr, r.cache_source(), r.rung.name());
         // A job that produced no program at all is an error-severity
         // finding in its own right; degraded rungs still carry a real
         // analysis (or an empty one for the scalar rung) and lint it.
-        let Some(kernel) = r.kernel.as_deref() else {
-            total_errors += 1;
-            let fault =
-                r.faults.first().map(|e| e.to_string()).unwrap_or_else(|| "no program".into());
-            println!(
-                "{:<24} {:<8} {:<6} {} — {fault}",
-                r.name,
-                r.corr,
-                r.cache_source(),
-                r.rung.name()
-            );
-            rows.push(Json::obj([
-                ("name", Json::str(&r.name)),
-                ("corr", Json::str(&r.corr)),
-                ("cache", Json::str(r.cache_source())),
-                ("rung", Json::str(r.rung.name())),
-                ("errors", Json::int(1)),
-                ("warnings", Json::int(0)),
-                ("packs_checked", Json::int(0)),
-                ("lanes_proved", Json::int(0)),
-                (
-                    "diagnostics",
-                    Json::Arr(r.faults.iter().map(|e| Json::str(e.to_string())).collect()),
-                ),
-            ]));
-            continue;
+        let (errors, warnings, packs_checked, lanes_proved, diagnostics) = match &r.kernel {
+            Some(kernel) => {
+                let a = &kernel.analysis;
+                println!("{name:<24} {corr:<8} {cache:<6} {}", a.verdict());
+                let diagnostics: Vec<String> = a.all().map(|d| d.to_string()).collect();
+                for d in &diagnostics {
+                    println!("    {d}");
+                }
+                (a.error_count(), a.warning_count(), a.packs_checked, a.lanes_proved, diagnostics)
+            }
+            None => {
+                let diagnostics: Vec<String> = r.faults.iter().map(|e| e.to_string()).collect();
+                let fault = diagnostics.first().map_or("no program", String::as_str);
+                println!("{name:<24} {corr:<8} {cache:<6} {rung} — {fault}");
+                (1, 0, 0, 0, diagnostics)
+            }
         };
-        let a = &kernel.analysis;
-        total_errors += a.error_count();
-        total_warnings += a.warning_count();
-        println!("{:<24} {:<8} {:<6} {}", r.name, r.corr, r.cache_source(), a.verdict());
-        for d in a.all() {
-            println!("    {d}");
-        }
+        total_errors += errors;
+        total_warnings += warnings;
         rows.push(Json::obj([
-            ("name", Json::str(&r.name)),
-            ("corr", Json::str(&r.corr)),
-            ("cache", Json::str(r.cache_source())),
-            ("rung", Json::str(r.rung.name())),
-            ("errors", Json::int(a.error_count() as u64)),
-            ("warnings", Json::int(a.warning_count() as u64)),
-            ("packs_checked", Json::int(a.packs_checked as u64)),
-            ("lanes_proved", Json::int(a.lanes_proved as u64)),
-            ("diagnostics", Json::Arr(a.all().map(|d| Json::str(d.to_string())).collect())),
+            ("name", Json::str(name)),
+            ("corr", Json::str(corr)),
+            ("cache", Json::str(cache)),
+            ("rung", Json::str(rung)),
+            ("errors", Json::int(errors as u64)),
+            ("warnings", Json::int(warnings as u64)),
+            ("packs_checked", Json::int(packs_checked as u64)),
+            ("lanes_proved", Json::int(lanes_proved as u64)),
+            ("diagnostics", Json::Arr(diagnostics.into_iter().map(Json::str).collect())),
         ]));
     }
     print_failure_table(&results);
+    let (target, beam) = (&pipeline.target.name, pipeline.beam.width);
     println!(
-        "vegen-engine lint: {} kernels in {wall:.2?} (target {}, beam {beam}) — {} error(s), \
-         {} warning(s)",
+        "vegen-engine lint: {} kernels in {wall:.2?} (target {target}, beam {beam}) — \
+         {total_errors} error(s), {total_warnings} warning(s)",
         results.len(),
-        target.name,
-        total_errors,
-        total_warnings
     );
-
-    if let Some(path) = &out {
+    if out.path.is_some() {
         let doc = Json::obj([
             ("schema", Json::str("vegen-engine-lint/v1")),
-            ("target", Json::str(&target.name)),
+            ("target", Json::str(target)),
             ("beam_width", Json::int(beam as u64)),
             ("errors", Json::int(total_errors as u64)),
             ("warnings", Json::int(total_warnings as u64)),
             ("kernels", Json::Arr(rows)),
         ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("vegen-engine lint: cannot write {path}: {e}");
-            return 2;
-        }
-        eprintln!("vegen-engine lint: report written to {path}");
+        emit_report("vegen-engine lint", &doc, out)?;
     }
-    if total_errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(i32::from(total_errors > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1212,60 +1109,25 @@ fn run_lint(args: &[String]) -> i32 {
 
 /// Audit the offline spec chain (pseudocode → VIDL → match table) for one
 /// or all targets. Exit code 1 when any target has an error-severity
-/// finding; warnings are reported but do not gate. `--corrupt KIND`
+/// finding; warnings are reported but do not gate. A `corrupt` kind
 /// injects a deliberate corruption first, so CI can assert the gate
 /// rejects a broken database and names the mutated instruction.
-fn run_check_specs(args: &[String]) -> i32 {
+fn run_check_specs(
+    targets: &[TargetIsa],
+    corrupt: Option<&str>,
+    canonicalize: bool,
+    json: bool,
+    out: &Output,
+) -> Res<i32> {
     use vegen_analysis::speccheck::{check_database, corrupt_database};
     use vegen_isa::{specs::all_specs, InstDb};
-
-    let mut targets = vec![TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()];
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut corrupt: Option<String> = None;
-    let mut canonicalize = true;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--target" => value("--target").and_then(|v| {
-                if v.eq_ignore_ascii_case("all") {
-                    Ok(())
-                } else {
-                    parse_target(&v).map(|t| targets = vec![t])
-                }
-            }),
-            "--json" => {
-                json = true;
-                Ok(())
-            }
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--corrupt" => value("--corrupt").map(|v| corrupt = Some(v)),
-            "--no-canon" => {
-                canonicalize = false;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine check-specs [--target sse4|avx2|avx512vnni|all] \
-                     [--json] [--out FILE] [--corrupt KIND] [--no-canon]\n\
-                     corruption KIND is lane-swap|widen|flip-cmp|dup-rule|neg-cost|rename-op"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine check-specs: {e}");
-            return 2;
-        }
-    }
+    const TAG: &str = "vegen-engine check-specs";
 
     let t0 = Instant::now();
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
     let mut rows = Vec::new();
-    for target in &targets {
+    for target in targets {
         let specs: Vec<_> = all_specs()
             .iter()
             .filter(|s| target.has(s.ext) && s.bits <= target.max_bits)
@@ -1273,22 +1135,12 @@ fn run_check_specs(args: &[String]) -> i32 {
             .collect();
         let mut db = InstDb::for_target(target);
         let mut corrupted_inst: Option<String> = None;
-        if let Some(kind) = &corrupt {
-            match corrupt_database(&db, kind) {
-                Ok((bad, name)) => {
-                    eprintln!(
-                        "vegen-engine check-specs: injected {kind} corruption into {name} \
-                         ({})",
-                        target.name
-                    );
-                    db = bad;
-                    corrupted_inst = Some(name);
-                }
-                Err(e) => {
-                    eprintln!("vegen-engine check-specs: --corrupt {kind}: {e}");
-                    return 2;
-                }
-            }
+        if let Some(kind) = corrupt {
+            let (bad, name) =
+                corrupt_database(&db, kind).map_err(|e| format!("--corrupt {kind}: {e}"))?;
+            eprintln!("{TAG}: injected {kind} corruption into {name} ({})", target.name);
+            db = bad;
+            corrupted_inst = Some(name);
         }
         let report = check_database(&target.name, &specs, &db, canonicalize);
         total_errors += report.error_count();
@@ -1299,10 +1151,7 @@ fn run_check_specs(args: &[String]) -> i32 {
                 println!("    {d}");
             }
         }
-        vegen_trace::metrics::counter("speccheck_rules_total").add(report.stats.rules as u64);
-        vegen_trace::metrics::gauge("speccheck_dead_rules").set(report.stats.dead_rules as f64);
-        vegen_trace::metrics::gauge("speccheck_max_overlap_class")
-            .set(report.stats.max_overlap_class as f64);
+        publish_match_table(&report.stats);
         rows.push(Json::obj([
             ("target", Json::str(&report.target)),
             ("insts_checked", Json::int(report.insts_checked as u64)),
@@ -1323,35 +1172,25 @@ fn run_check_specs(args: &[String]) -> i32 {
     }
     let doc = Json::obj([
         ("schema", Json::str("vegen-engine-speccheck/v1")),
-        ("corruption", corrupt.as_deref().map_or(Json::Null, Json::str)),
+        ("corruption", corrupt.map_or(Json::Null, Json::str)),
         ("errors", Json::int(total_errors as u64)),
         ("warnings", Json::int(total_warnings as u64)),
         ("targets", Json::Arr(rows)),
     ]);
     if json {
-        println!("{}", doc.render_pretty());
+        emit_report(TAG, &doc, &Output::default())?;
     }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("vegen-engine check-specs: cannot write {path}: {e}");
-            return 2;
-        }
-        eprintln!("vegen-engine check-specs: report written to {path}");
+    if out.path.is_some() {
+        emit_report(TAG, &doc, out)?;
     }
     if !json {
         println!(
-            "vegen-engine check-specs: {} target(s) in {:.2?} — {} error(s), {} warning(s)",
+            "{TAG}: {} target(s) in {:.2?} — {total_errors} error(s), {total_warnings} warning(s)",
             targets.len(),
             t0.elapsed(),
-            total_errors,
-            total_warnings
         );
     }
-    if total_errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(i32::from(total_errors > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1390,46 +1229,8 @@ impl Default for DiffConfig {
     }
 }
 
-fn pick_run(report: &Json) -> Result<&Json, String> {
-    let runs = report
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "report has no runs".to_string())?;
-    runs.iter()
-        .find(|r| r.get("label").and_then(Json::as_str) == Some("cold"))
-        .or_else(|| runs.first())
-        .ok_or_else(|| "report has zero runs".to_string())
-}
-
-fn kernel_rows(run: &Json) -> Result<Vec<(String, KernelRow)>, String> {
-    let kernels = run
-        .get("kernels")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "run has no kernels".to_string())?;
-    let mut rows = Vec::new();
-    for k in kernels {
-        let name = k
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "kernel without a name".to_string())?;
-        let num = |key: &str| k.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let beam_num = |key: &str| {
-            k.get("beam").and_then(|b| b.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-        };
-        rows.push((
-            name.to_string(),
-            KernelRow {
-                vegen_cycles: num("vegen_cycles"),
-                speedup_vs_baseline: num("speedup_vs_baseline"),
-                states_expanded: num("states_expanded"),
-                transitions: beam_num("transitions"),
-            },
-        ));
-    }
-    Ok(rows)
-}
-
-fn check_schema(report: &Json, which: &str) -> Result<(), String> {
+/// The kernel rows of a report's cold run (else its first run).
+fn kernel_rows(report: &Json, which: &str) -> Res<Vec<(String, KernelRow)>> {
     let schema = report
         .get("schema")
         .and_then(Json::as_str)
@@ -1439,7 +1240,26 @@ fn check_schema(report: &Json, which: &str) -> Result<(), String> {
     if !schema.starts_with("vegen-engine-report/") && !schema.starts_with("vegen-bench-suite/") {
         return Err(format!("{which}: unrecognized schema {schema:?}"));
     }
-    Ok(())
+    let runs = report.get("runs").and_then(Json::as_arr).ok_or("report has no runs")?;
+    let run = runs
+        .iter()
+        .find(|r| r.get("label").and_then(Json::as_str) == Some("cold"))
+        .or_else(|| runs.first())
+        .ok_or("report has zero runs")?;
+    let kernels = run.get("kernels").and_then(Json::as_arr).ok_or("run has no kernels")?;
+    let row = |k: &Json| -> Res<(String, KernelRow)> {
+        let name = k.get("name").and_then(Json::as_str).ok_or("kernel without a name")?;
+        let num = |key: &str| k.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let beam = k.get("beam").and_then(|b| b.get("transitions")).and_then(Json::as_f64);
+        let row = KernelRow {
+            vegen_cycles: num("vegen_cycles"),
+            speedup_vs_baseline: num("speedup_vs_baseline"),
+            states_expanded: num("states_expanded"),
+            transitions: beam.unwrap_or(0.0),
+        };
+        Ok((name.to_string(), row))
+    };
+    kernels.iter().map(row).collect()
 }
 
 /// Compare two parsed engine reports. Returns the regressions (empty =
@@ -1453,41 +1273,25 @@ pub fn diff_reports(
     new: &Json,
     cfg: &DiffConfig,
 ) -> Result<(Vec<Regression>, Vec<String>), String> {
-    check_schema(old, "old")?;
-    check_schema(new, "new")?;
-    let old_rows = kernel_rows(pick_run(old)?)?;
-    let new_rows = kernel_rows(pick_run(new)?)?;
+    let old_rows = kernel_rows(old, "old")?;
+    let new_rows = kernel_rows(new, "new")?;
     let factor = 1.0 + cfg.max_regress_pct / 100.0;
 
     let mut regressions = Vec::new();
     let mut info = Vec::new();
     for (name, o) in &old_rows {
+        let mut regress = |what| regressions.push(Regression { kernel: name.clone(), what });
         let Some((_, n)) = new_rows.iter().find(|(nn, _)| nn == name) else {
-            regressions.push(Regression {
-                kernel: name.clone(),
-                what: "kernel missing from new report".to_string(),
-            });
+            regress("kernel missing from new report".to_string());
             continue;
         };
         if n.vegen_cycles > o.vegen_cycles * factor {
-            regressions.push(Regression {
-                kernel: name.clone(),
-                what: format!(
-                    "vegen_cycles {:.1} → {:.1} (+{:.1}%)",
-                    o.vegen_cycles,
-                    n.vegen_cycles,
-                    (n.vegen_cycles / o.vegen_cycles - 1.0) * 100.0
-                ),
-            });
+            let (ov, nv) = (o.vegen_cycles, n.vegen_cycles);
+            regress(format!("vegen_cycles {ov:.1} → {nv:.1} (+{:.1}%)", (nv / ov - 1.0) * 100.0));
         }
         if n.speedup_vs_baseline * factor < o.speedup_vs_baseline {
-            regressions.push(Regression {
-                kernel: name.clone(),
-                what: format!(
-                    "speedup_vs_baseline {:.3} → {:.3}",
-                    o.speedup_vs_baseline, n.speedup_vs_baseline
-                ),
-            });
+            let (ov, nv) = (o.speedup_vs_baseline, n.speedup_vs_baseline);
+            regress(format!("speedup_vs_baseline {ov:.3} → {nv:.3}"));
         }
         for (label, ov, nv) in [
             ("states_expanded", o.states_expanded, n.states_expanded),
@@ -1497,7 +1301,7 @@ pub fn diff_reports(
                 let line =
                     format!("{name}: {label} {ov:.0} → {nv:.0} (+{:.1}%)", (nv / ov - 1.0) * 100.0);
                 if cfg.strict_counters {
-                    regressions.push(Regression { kernel: name.clone(), what: line });
+                    regress(line);
                 } else {
                     info.push(line);
                 }
@@ -1512,69 +1316,22 @@ pub fn diff_reports(
     Ok((regressions, info))
 }
 
-fn run_diff(args: &[String]) -> i32 {
-    let mut files = Vec::new();
-    let mut cfg = DiffConfig::default();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--max-regress" => {
-                match args.next().map(|v| v.parse::<f64>()) {
-                    Some(Ok(pct)) if pct >= 0.0 => cfg.max_regress_pct = pct,
-                    _ => {
-                        eprintln!("vegen-engine diff: --max-regress needs a percentage");
-                        return 2;
-                    }
-                };
-            }
-            "--strict-counters" => cfg.strict_counters = true,
-            other if !other.starts_with('-') => files.push(other.to_string()),
-            other => {
-                eprintln!("vegen-engine diff: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let [old_path, new_path] = files.as_slice() else {
-        eprintln!(
-            "usage: vegen-engine diff <old.json> <new.json> [--max-regress PCT] \
-             [--strict-counters]"
-        );
-        return 2;
-    };
-    let load = |path: &str| -> Result<Json, String> {
+fn run_diff(old_path: &str, new_path: &str, cfg: &DiffConfig) -> Res<i32> {
+    let load = |path: &str| -> Res<Json> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("vegen-engine diff: {e}");
-            return 2;
-        }
-    };
-    match diff_reports(&old, &new, &cfg) {
-        Ok((regressions, info)) => {
-            for line in &info {
-                println!("info: {line}");
-            }
-            for r in &regressions {
-                println!("REGRESSION {}: {}", r.kernel, r.what);
-            }
-            if regressions.is_empty() {
-                println!(
-                    "vegen-engine diff: no regressions (threshold {:.1}%)",
-                    cfg.max_regress_pct
-                );
-                0
-            } else {
-                println!("vegen-engine diff: {} regression(s)", regressions.len());
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("vegen-engine diff: {e}");
-            2
-        }
+    let (regressions, info) = diff_reports(&load(old_path)?, &load(new_path)?, cfg)?;
+    for line in &info {
+        println!("info: {line}");
     }
+    for r in &regressions {
+        println!("REGRESSION {}: {}", r.kernel, r.what);
+    }
+    if regressions.is_empty() {
+        println!("vegen-engine diff: no regressions (threshold {:.1}%)", cfg.max_regress_pct);
+    } else {
+        println!("vegen-engine diff: {} regression(s)", regressions.len());
+    }
+    Ok(i32::from(!regressions.is_empty()))
 }

@@ -1,14 +1,18 @@
 //! Observability integration tests: verification-failure reporting, the
 //! v4 report round-trip, trace capture across the engine's layers, the
-//! decision log, and the `diff`/`explain`/`lint` subcommands (library and
-//! binary).
+//! decision log, the `diff`/`explain`/`lint` subcommands (library and
+//! binary), and the command-line contract shared by every subcommand.
 
 use std::sync::Arc;
 use vegen::driver::{compile, PipelineConfig};
 use vegen_core::BeamConfig;
-use vegen_engine::cli::{diff_reports, failing_kernels, main_with_args, DiffConfig};
+use vegen_engine::cli::{
+    diff_reports, failing_kernels, main_with_args, parse, Command, DiffConfig, Output,
+};
 use vegen_engine::json::Json;
 use vegen_engine::report::EngineReport;
+use vegen_engine::serve::ServeConfig;
+use vegen_engine::soak::SoakConfig;
 use vegen_engine::{Engine, EngineConfig, Job};
 use vegen_isa::TargetIsa;
 use vegen_vm::listing;
@@ -258,17 +262,135 @@ fn trace_session_captures_all_three_layers_without_perturbing_codegen() {
     );
 }
 
+fn args(v: &[&str]) -> Vec<String> {
+    v.iter().map(|s| s.to_string()).collect()
+}
+
 #[test]
-fn explain_subcommand_exits_clean_and_rejects_unknown_kernels() {
-    let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+fn every_subcommand_honours_the_usage_contract() {
+    // (leading words, a flag that takes a value) per subcommand; the
+    // leading words include any operand so only the flag is at fault.
+    let table: [(&[&str], &str); 8] = [
+        (&[], "--beam"),
+        (&["soak"], "--seed"),
+        (&["serve", "--stdio"], "--queue"),
+        (&["stats"], "--socket"),
+        (&["explain", "pmaddwd"], "--beam"),
+        (&["lint"], "--out"),
+        (&["check-specs"], "--corrupt"),
+        (&["diff", "a.json", "b.json"], "--max-regress"),
+    ];
+    for (lead, value_flag) in table {
+        let with = |extra: &[&str]| args(&[lead, extra].concat());
+        assert_eq!(main_with_args(&with(&["--help"])), 0, "{lead:?} --help");
+        assert_eq!(main_with_args(&with(&["-h"])), 0, "{lead:?} -h");
+        assert_eq!(main_with_args(&with(&["--bogus"])), 2, "{lead:?} --bogus");
+        assert_eq!(main_with_args(&with(&[value_flag])), 2, "{lead:?} {value_flag}");
+        let err = parse(&with(&[value_flag]), &no_env).unwrap_err();
+        assert!(err.ends_with(&format!(": {value_flag} needs a value")), "{err}");
+        let err = parse(&with(&["--bogus"]), &no_env).unwrap_err();
+        assert!(err.ends_with(": unknown argument \"--bogus\""), "{err}");
+    }
     assert_eq!(main_with_args(&args(&["explain", "pmaddwd", "--beam", "4"])), 0);
     assert_eq!(main_with_args(&args(&["explain", "no-such-kernel"])), 2);
     assert_eq!(main_with_args(&args(&["explain"])), 2);
+    assert_eq!(main_with_args(&args(&["diff", "only-one.json"])), 2);
+    assert_eq!(main_with_args(&args(&["--beam", "wide"])), 2);
+}
+
+fn no_env(_: &str) -> Option<String> {
+    None
+}
+
+#[test]
+fn command_lines_from_ci_and_the_readme_parse_to_the_intended_configs() {
+    let parse_ok = |v: &[&str], env: &dyn Fn(&str) -> Option<String>| {
+        parse(&args(v), env).unwrap_or_else(|e| panic!("{v:?}: {e}"))
+    };
+    let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+
+    // Defaults come from the flag table and must match the config types'.
+    let Command::Suite(cfg) = parse_ok(&[], &no_env) else { panic!("suite") };
+    assert_eq!(debug(&cfg.engine), debug(&EngineConfig::default()));
+    assert_eq!(debug(&cfg.pipeline), debug(&PipelineConfig::new(TargetIsa::avx2(), 16)));
+    assert_eq!((cfg.runs, cfg.faults.is_none(), cfg.out.path), (2, true, None));
+
+    let ci = ["--beam", "16", "--fault-seed", "42", "--fault-count", "3", "--runs", "1"];
+    let Command::Suite(cfg) = parse_ok(&ci, &no_env) else { panic!("suite") };
+    assert_eq!((cfg.runs, cfg.faults.map(|p| p.len())), (1, Some(3)));
+
+    let line = ["soak", "--seed", "42", "--count", "400", "--shard", "1/2", "--fault-every", "17"];
+    let Command::Soak(cfg, out) = parse_ok(&line, &no_env) else { panic!("soak") };
+    let want = SoakConfig {
+        seed: 42,
+        count: 400,
+        shard_index: 1,
+        shard_count: 2,
+        fault_every: 17,
+        ..SoakConfig::default()
+    };
+    assert_eq!(debug(&cfg), debug(&want));
+    assert_eq!(out, Output::default());
+
+    let line = ["serve", "--stdio", "--cache-dir", "D", "--warm-start"];
+    let Command::Serve(engine, cfg, socket, warm) = parse_ok(&line, &no_env) else {
+        panic!("serve")
+    };
+    let want = EngineConfig { cache_dir: Some("D".into()), ..EngineConfig::default() };
+    assert_eq!(debug(&engine), debug(&want));
+    assert_eq!(debug(&cfg), debug(&ServeConfig::default()));
+    assert_eq!((socket, warm), (None, true));
+
+    let Command::CheckSpecs(targets, corrupt, canonicalize, json, _) =
+        parse_ok(&["check-specs", "--target", "all"], &no_env)
+    else {
+        panic!("check-specs")
+    };
+    assert_eq!(targets, vec![TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()]);
+    assert_eq!((corrupt, canonicalize, json), (None, true, false));
+
+    let line = ["diff", "a", "b", "--max-regress", "0", "--strict-counters"];
+    let Command::Diff(old, new, cfg) = parse_ok(&line, &no_env) else { panic!("diff") };
+    assert_eq!((old.as_str(), new.as_str()), ("a", "b"));
+    assert_eq!((cfg.max_regress_pct, cfg.strict_counters), (0.0, true));
+    let Command::Diff(_, _, cfg) = parse_ok(&["diff", "a", "b"], &no_env) else { panic!("diff") };
+    assert_eq!(cfg.max_regress_pct, DiffConfig::default().max_regress_pct);
+
+    // Environment fallbacks: the command line wins, an unparseable
+    // VEGEN_BEAM_THREADS reads as auto, and a seeded plan wins over
+    // VEGEN_FAULTS.
+    let env = |threads: &'static str, faults: &'static str| {
+        move |var: &str| match var {
+            "VEGEN_BEAM_THREADS" => Some(threads.to_string()),
+            "VEGEN_FAULTS" => Some(faults.to_string()),
+            _ => None,
+        }
+    };
+    let beam_threads = |v: &[&str], threads| match parse_ok(v, &env(threads, "")) {
+        Command::Suite(cfg) => cfg.engine.beam_threads,
+        Command::Soak(cfg, _) => cfg.beam_threads,
+        Command::Serve(engine, ..) | Command::Lint(engine, ..) => engine.beam_threads,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(beam_threads(&[], "4"), 4);
+    assert_eq!(beam_threads(&["soak"], "4"), 4);
+    assert_eq!(beam_threads(&["serve", "--stdio"], "4"), 4);
+    assert_eq!(beam_threads(&["--beam-threads", "2"], "4"), 2);
+    assert_eq!(beam_threads(&[], "many"), 0);
+    assert_eq!(beam_threads(&["lint"], "4"), 0, "lint takes no --beam-threads");
+    let faults = |v: &[&str], spec| match parse(&args(v), &env("", spec)) {
+        Ok(Command::Suite(cfg)) => Ok(cfg.faults.map(|p| p.len())),
+        Ok(other) => panic!("{other:?}"),
+        Err(e) => Err(e),
+    };
+    assert_eq!(faults(&[], "pmaddwd:selection:panic"), Ok(Some(1)));
+    assert_eq!(faults(&["--fault-seed", "7"], "pmaddwd:selection:panic"), Ok(Some(3)));
+    assert!(faults(&[], "nonsense").unwrap_err().contains("VEGEN_FAULTS"));
+    assert_eq!(faults(&["--faults", "idct4:lowering:error"], "nonsense"), Ok(Some(1)));
 }
 
 #[test]
 fn check_specs_subcommand_gates_on_corruption() {
-    let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     // The in-tree chain audits clean; a corrupted database gates with
     // exit 1; a bogus corruption kind is a usage error.
     assert_eq!(main_with_args(&args(&["check-specs", "--target", "sse4"])), 0);

@@ -128,11 +128,50 @@ pub fn prepare(f: &Function) -> Function {
     add_narrow_constants(&canonicalize(f))
 }
 
-/// Record one stage's wall time into the service metrics registry.
-/// Unconditional (unlike trace spans): stage boundaries are per-kernel,
-/// so the registry lookup is far off any hot loop.
-fn record_stage(metric: &'static str, d: Duration) {
-    vegen_trace::metrics::histogram(metric).record_duration(d);
+/// Record one stage's wall time into the service metrics registry under
+/// `driver_stage_<name>_us`. Unconditional (unlike trace spans): stage
+/// boundaries are per-kernel, so the registry lookup is far off any hot
+/// loop.
+fn record_stage(stage: Stage, d: Duration) {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| {
+        Stage::ALL
+            .iter()
+            .map(|s| &*Box::leak(format!("driver_stage_{}_us", s.name()).into_boxed_str()))
+            .collect()
+    });
+    let i = Stage::ALL.iter().position(|&s| s == stage).expect("Stage::ALL lists every stage");
+    vegen_trace::metrics::histogram(names[i]).record_duration(d);
+}
+
+/// Run one pipeline stage of kernel `kernel`: check the engine deadline
+/// at the stage boundary, then run `body` under the stage's `driver` trace
+/// span and attribution guard, after its fault hook. The stage's wall
+/// time goes to `*time` and the registry; any failure comes back as a
+/// [`CompileError`] attributed to `stage`.
+fn stage<T>(
+    stage: Stage,
+    kernel: &str,
+    deadline: Option<(Instant, Duration)>,
+    time: &mut Duration,
+    body: impl FnOnce() -> Result<T, ErrorCause>,
+) -> Result<T, CompileError> {
+    let t = Instant::now();
+    let out = match deadline {
+        Some((at, limit)) if t >= at => {
+            vegen_trace::instant("driver", "deadline");
+            Err(ErrorCause::Deadline { limit })
+        }
+        _ => {
+            let _sp = vegen_trace::span("driver", stage.name());
+            let _st = enter_stage(stage);
+            fault::fire(stage, kernel).and_then(|()| body())
+        }
+    }
+    .map_err(|c| CompileError::new(stage, kernel, c))?;
+    *time = t.elapsed();
+    record_stage(stage, *time);
+    Ok(out)
 }
 
 /// [`prepare`] with stage attribution and fault injection — the form the
@@ -142,13 +181,7 @@ fn record_stage(metric: &'static str, d: Duration) {
 ///
 /// Returns an injected canonicalize-stage fault, if one is installed.
 pub fn try_prepare(f: &Function) -> Result<Function, CompileError> {
-    let _st = enter_stage(Stage::Canonicalize);
-    fault::fire(Stage::Canonicalize, &f.name)
-        .map_err(|c| CompileError::new(Stage::Canonicalize, &f.name, c))?;
-    let t = Instant::now();
-    let prepared = prepare(f);
-    record_stage("driver_stage_canonicalize_us", t.elapsed());
-    Ok(prepared)
+    stage(Stage::Canonicalize, &f.name, None, &mut Duration::default(), || Ok(prepare(f)))
 }
 
 /// Compile `f` three ways (scalar / baseline / VeGen).
@@ -157,85 +190,40 @@ pub fn compile(f: &Function, cfg: &PipelineConfig) -> CompiledKernel {
 }
 
 /// [`compile`], also reporting per-stage wall times.
-pub fn compile_timed(f: &Function, cfg: &PipelineConfig) -> (CompiledKernel, StageTimes) {
-    let t = Instant::now();
-    let prepared = {
-        let _sp = vegen_trace::span("driver", "canonicalize");
-        prepare(f)
-    };
-    let canonicalize_time = t.elapsed();
-    record_stage("driver_stage_canonicalize_us", canonicalize_time);
-    let (kernel, mut times) = compile_prepared_timed(prepared, cfg);
-    times.canonicalize = canonicalize_time;
-    (kernel, times)
-}
-
-/// Compile an already-[`prepare`]d function, reporting per-stage wall
-/// times (with `canonicalize` zero, since that stage was the caller's).
 ///
 /// # Panics
 ///
-/// Panics on any pipeline failure; use [`try_compile_prepared_timed`] on
-/// fault-tolerant paths (the engine) to get a typed [`CompileError`].
-pub fn compile_prepared_timed(
-    prepared: Function,
-    cfg: &PipelineConfig,
-) -> (CompiledKernel, StageTimes) {
-    try_compile_prepared_timed(prepared, cfg, None).unwrap_or_else(|e| panic!("{e}"))
+/// Panics on any pipeline failure; use [`try_prepare`] and
+/// [`try_compile_prepared_reusing`] on fault-tolerant paths (the engine)
+/// to get a typed [`CompileError`].
+pub fn compile_timed(f: &Function, cfg: &PipelineConfig) -> (CompiledKernel, StageTimes) {
+    let t = Instant::now();
+    let prepared = try_prepare(f);
+    let canonicalize = t.elapsed();
+    let compiled = prepared
+        .and_then(|p| try_compile_prepared_reusing(p, cfg, None, &mut SelectionReuse::new()));
+    let (kernel, times) = compiled.unwrap_or_else(|e| panic!("{e}"));
+    (kernel, StageTimes { canonicalize, ..times })
 }
 
-/// Check an engine-level deadline at a stage boundary.
-fn check_deadline(
-    stage: Stage,
-    kernel: &str,
-    deadline: Option<(Instant, Duration)>,
-) -> Result<(), CompileError> {
-    if let Some((at, limit)) = deadline {
-        if Instant::now() >= at {
-            vegen_trace::instant("driver", "deadline");
-            return Err(CompileError::new(stage, kernel, ErrorCause::Deadline { limit }));
-        }
-    }
-    Ok(())
-}
-
-/// Fallible form of [`compile_prepared_timed`]: every stage failure —
-/// budget exhaustion, malformed input, injected fault — comes back as a
-/// typed [`CompileError`] naming the stage, kernel, and cause.
+/// Compile an already-[`prepare`]d function, reporting per-stage wall
+/// times (`canonicalize` is zero: that stage was the caller's). Every
+/// stage failure comes back as a typed [`CompileError`]; panics are left
+/// to the engine boundary's `catch_unwind`, with the failing stage
+/// recorded via [`crate::error::StageGuard`].
 ///
-/// `deadline` is an engine-level per-job budget `(expiry, configured
-/// limit)`: it is checked at every stage boundary, and the *remaining*
-/// window is threaded into the beam search as a wall budget so the
-/// selection loop (the only unbounded stage) observes it cooperatively.
+/// `deadline` is the engine's per-job budget `(expiry, configured limit)`,
+/// checked at every stage boundary; the remaining window also becomes the
+/// beam search's wall budget, so the selection loop (the only unbounded
+/// stage) observes it cooperatively. `reuse` carries the frozen context
+/// and transposition table of a failed wide search into the engine
+/// ladder's width-1 retry, which then skips the freeze pre-pass; it still
+/// holds that snapshot after a typed error, but must be
+/// [`SelectionReuse::reset`] after a caught panic.
 ///
 /// # Errors
 ///
-/// Returns the first stage failure. Panics are *not* caught here — that
-/// is the engine boundary's job (`catch_unwind` around the whole call) —
-/// but stage attribution for caught panics is recorded via
-/// [`crate::error::StageGuard`].
-pub fn try_compile_prepared_timed(
-    prepared: Function,
-    cfg: &PipelineConfig,
-    deadline: Option<(Instant, Duration)>,
-) -> Result<(CompiledKernel, StageTimes), CompileError> {
-    try_compile_prepared_reusing(prepared, cfg, deadline, &mut SelectionReuse::new())
-}
-
-/// [`try_compile_prepared_timed`] threading a [`SelectionReuse`] through
-/// pack selection, so the caller (the engine's degradation ladder) can
-/// carry the frozen interned context and the transposition table from a
-/// failed wide search into its width-1 retry — the retry skips the freeze
-/// pre-pass entirely and starts with a warm estimate table.
-///
-/// The reuse handle is only consulted by the selection stage; on any typed
-/// error it still holds the parked snapshot, so a retry on the *same*
-/// prepared function is cheap. After a caught panic the caller must
-/// [`SelectionReuse::reset`] it instead.
-///
-/// # Errors
-///
-/// Same contract as [`try_compile_prepared_timed`].
+/// Returns the first stage failure.
 pub fn try_compile_prepared_reusing(
     prepared: Function,
     cfg: &PipelineConfig,
@@ -245,95 +233,43 @@ pub fn try_compile_prepared_reusing(
     let name = prepared.name.clone();
     let mut times = StageTimes::default();
 
-    let t = Instant::now();
-    check_deadline(Stage::TargetDesc, &name, deadline)?;
-    let desc = {
-        let _sp = vegen_trace::span("driver", "target_desc");
-        let _st = enter_stage(Stage::TargetDesc);
-        fault::fire(Stage::TargetDesc, &name)
-            .map_err(|c| CompileError::new(Stage::TargetDesc, &name, c))?;
-        target_desc(&cfg.target, cfg.canonicalize_patterns)
-    };
-    times.target_desc = t.elapsed();
-    record_stage("driver_stage_target_desc_us", times.target_desc);
+    let desc = stage(Stage::TargetDesc, &name, deadline, &mut times.target_desc, || {
+        Ok(target_desc(&cfg.target, cfg.canonicalize_patterns))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Selection, &name, deadline)?;
-    let (ctx, selection) = {
-        let _sp = vegen_trace::span("driver", "selection");
-        let _st = enter_stage(Stage::Selection);
-        fault::fire(Stage::Selection, &name)
-            .map_err(|c| CompileError::new(Stage::Selection, &name, c))?;
+    let (ctx, selection) = stage(Stage::Selection, &name, deadline, &mut times.selection, || {
         // Thread the remaining job window into the beam as a wall budget
         // (tightening any caller-set budget, never loosening it).
-        let beam = match deadline {
-            Some((at, _)) => {
-                let remaining = at.saturating_duration_since(Instant::now());
-                let wall = match cfg.beam.budget.wall {
-                    Some(w) => w.min(remaining),
-                    None => remaining,
-                };
-                let mut beam = cfg.beam.clone();
-                beam.budget.wall = Some(wall);
-                beam
-            }
-            None => cfg.beam.clone(),
-        };
+        let mut beam = cfg.beam.clone();
+        if let Some((at, _)) = deadline {
+            let remaining = at.saturating_duration_since(Instant::now());
+            beam.budget.wall = Some(beam.budget.wall.map_or(remaining, |w| w.min(remaining)));
+        }
         let ctx = VectorizerCtx::new(&prepared, &desc, CostModel::default());
-        let selection = select_packs_reusing(&ctx, &beam, reuse)
-            .map_err(|e| CompileError::new(Stage::Selection, &name, ErrorCause::Search(e)))?;
-        (ctx, selection)
-    };
-    times.selection = t.elapsed();
-    record_stage("driver_stage_selection_us", times.selection);
+        let selection = select_packs_reusing(&ctx, &beam, reuse).map_err(ErrorCause::Search)?;
+        Ok((ctx, selection))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Lowering, &name, deadline)?;
-    let (scalar, vegen) = {
-        let _sp = vegen_trace::span("driver", "lowering");
-        let _st = enter_stage(Stage::Lowering);
-        fault::fire(Stage::Lowering, &name)
-            .map_err(|c| CompileError::new(Stage::Lowering, &name, c))?;
-        let scalar = try_lower_scalar(&prepared)
-            .map_err(|e| CompileError::new(Stage::Lowering, &name, ErrorCause::Lowering(e)))?;
-        let mut vegen = try_lower(&ctx, &selection.packs)
-            .map_err(|e| CompileError::new(Stage::Lowering, &name, ErrorCause::Lowering(e)))?;
+    let (scalar, vegen) = stage(Stage::Lowering, &name, deadline, &mut times.lowering, || {
+        let scalar = try_lower_scalar(&prepared).map_err(ErrorCause::Lowering)?;
+        let mut vegen = try_lower(&ctx, &selection.packs).map_err(ErrorCause::Lowering)?;
         // Profitability backstop: like any production vectorizer, keep the
         // scalar code when the vectorized program does not actually win
         // under the (more precise) program-level cost model.
         if static_cycles(&vegen) >= static_cycles(&scalar) {
             vegen = scalar.clone();
         }
-        (scalar, vegen)
-    };
-    times.lowering = t.elapsed();
-    record_stage("driver_stage_lowering_us", times.lowering);
+        Ok((scalar, vegen))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Analysis, &name, deadline)?;
-    let analysis = {
-        let _sp = vegen_trace::span("driver", "analysis");
-        let _st = enter_stage(Stage::Analysis);
-        fault::fire(Stage::Analysis, &name)
-            .map_err(|c| CompileError::new(Stage::Analysis, &name, c))?;
-        analyze_kernel(&prepared, &desc, &selection.packs, &vegen, cfg.canonicalize_patterns)
-    };
-    times.analysis = t.elapsed();
-    record_stage("driver_stage_analysis_us", times.analysis);
+    let analysis = stage(Stage::Analysis, &name, deadline, &mut times.analysis, || {
+        Ok(analyze_kernel(&prepared, &desc, &selection.packs, &vegen, cfg.canonicalize_patterns))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Baseline, &name, deadline)?;
-    let bl = {
-        let _sp = vegen_trace::span("driver", "baseline");
-        let _st = enter_stage(Stage::Baseline);
-        fault::fire(Stage::Baseline, &name)
-            .map_err(|c| CompileError::new(Stage::Baseline, &name, c))?;
+    let bl = stage(Stage::Baseline, &name, deadline, &mut times.baseline, || {
         let bl_cfg = BaselineConfig { max_bits: cfg.target.max_bits, ..BaselineConfig::default() };
-        try_vectorize_baseline(&prepared, &bl_cfg)
-            .map_err(|e| CompileError::new(Stage::Baseline, &name, ErrorCause::Baseline(e)))?
-    };
-    times.baseline = t.elapsed();
-    record_stage("driver_stage_baseline_us", times.baseline);
+        try_vectorize_baseline(&prepared, &bl_cfg).map_err(ErrorCause::Baseline)
+    })?;
 
     let kernel = CompiledKernel {
         function: prepared,
